@@ -24,6 +24,5 @@ from .norms import (AccuracyError, DivergenceError, NormFunctional,
 from .rademacher import (RademacherEstimate, ScanSeries, rademacher_norm, scan,
                          seq_l2_norm)
 from .irkbs import (DecompositionReport, SeriesSpec, check_applicability,
-                    cosine_series, normalizer_reduction_agrees,
-                    radius_lower_bound, split_series)
+                    cosine_series, radius_lower_bound, split_series)
 from .report import RULE_REGISTRY, Report

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -18,7 +17,7 @@ from typing import List, Optional
 from . import __version__
 from .decider import STATUS_EXIT_CODES, decide, decide_bounded_target
 from .irkbs import SeriesSpec, check_applicability, cosine_series, split_series
-from .norms import NormFunctional, QuadratureConfig
+from .norms import DEFAULT_CONFIG, NormFunctional, QuadratureConfig
 from .packing import brute_force_packing, exponent_fit, greedy_packing
 from .rademacher import scan
 from .report import Report
@@ -37,9 +36,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_number(text: str) -> ExtRational:
+    """A rational a/b or `inf`; anything else raises ValueError."""
     if text == "inf":
         return INF
-    return xr(Fraction(text))
+    try:
+        return xr(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"bad number {text!r}: zero denominator") from None
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """A finite rational a/b; anything else raises ValueError."""
+    value = _parse_number(text)
+    if value.is_infinite:
+        raise ValueError(f"bad number {text!r}: must be finite")
+    return value.as_fraction()
 
 
 def parse_domain(text: str) -> DomainSpec:
@@ -55,13 +66,23 @@ def parse_domain(text: str) -> DomainSpec:
         return cube(d)
     if kind == "space":
         return whole_space(d)
-    radius = Fraction(parts[2]) if len(parts) > 2 else Fraction(1)
+    radius = _parse_fraction(parts[2]) if len(parts) > 2 else Fraction(1)
     return ball(d, radius)
+
+
+# parameters after the family name, per family
+_ARITY = {"lp": 1, "lebesgue": 1, "holder": 1, "sobolev": 2, "slobo": 2,
+          "besov": 3, "tl": 3, "mixsob": 2, "sup": 0, "c0": 0, "cinf": 0}
 
 
 def parse_space(text: str, domain: Optional[DomainSpec]) -> SpaceSpec:
     parts = text.split(":")
     fam = parts[0]
+    if fam not in _ARITY:
+        raise ValueError(f"unknown space family {fam!r}")
+    if len(parts) - 1 != _ARITY[fam]:
+        raise ValueError(f"space family {fam!r} takes {_ARITY[fam]} "
+                         f"parameter(s), got {len(parts) - 1} in {text!r}")
     # mixsob carries a multi-index block that is not a plain number
     args = [] if fam == "mixsob" else [_parse_number(p) for p in parts[1:]]
 
@@ -94,26 +115,13 @@ def parse_space(text: str, domain: Optional[DomainSpec]) -> SpaceSpec:
         return sup_space(dom())
     if fam == "c0":
         return continuous_bounded(dom())
-    if fam == "cinf":
-        return c_infinity(dom())
-    raise ValueError(f"unknown space family {fam!r}")
+    return c_infinity(dom())  # cinf
 
 
 def _quadrature_from(args) -> QuadratureConfig:
-    profile = {}
-    env = os.environ.get("RKHS_SANDWICH_QUADRATURE", "")
-    for item in filter(None, env.split(",")):
-        key, _, val = item.partition("=")
-        profile[key.strip()] = val.strip()
-    resolution = int(profile.get("resolution", 64))
-    tolerance = float(profile.get("tolerance", 1e-5))
-    mc = int(profile.get("mc_samples", 64))
-    if getattr(args, "tolerance", None):
-        tolerance = float(args.tolerance)
-    if getattr(args, "mc_samples", None):
-        mc = int(args.mc_samples)
-    return QuadratureConfig(resolution=resolution, tolerance=tolerance,
-                            mc_samples=mc)
+    return QuadratureConfig(
+        tolerance=float(args.tolerance) if args.tolerance else DEFAULT_CONFIG.tolerance,
+        mc_samples=args.mc_samples or DEFAULT_CONFIG.mc_samples)
 
 
 def _verdict_payload(verdict) -> dict:
@@ -135,15 +143,21 @@ def _verdict_payload(verdict) -> dict:
     return payload
 
 
+# --to values decided against the bounded functions instead of a space
+_BOUNDED_TARGETS = {"sup": "sup", "c0": "continuous-bounded"}
+
+
+def _decide_pair(args, domain: Optional[DomainSpec]):
+    """Parse --from/--to and decide the pair; returns (E, verdict)."""
+    E = parse_space(args.source, domain)
+    if args.to in _BOUNDED_TARGETS:
+        return E, decide_bounded_target(E, _BOUNDED_TARGETS[args.to])
+    return E, decide(E, parse_space(args.to, domain))
+
+
 def cmd_decide(args) -> int:
     domain = parse_domain(args.domain) if args.domain else None
-    E = parse_space(args.source, domain)
-    if args.to in ("sup", "c0"):
-        target_kind = "sup" if args.to == "sup" else "continuous-bounded"
-        verdict = decide_bounded_target(E, target_kind)
-    else:
-        F = parse_space(args.to, domain)
-        verdict = decide(E, F)
+    _, verdict = _decide_pair(args, domain)
     report = Report.build("decide",
                           {"from": args.source, "to": args.to,
                            "domain": args.domain},
@@ -155,17 +169,12 @@ def cmd_decide(args) -> int:
 
 def cmd_scan(args) -> int:
     domain = parse_domain(args.domain) if args.domain else None
-    E = parse_space(args.source, domain)
-    if args.to in ("sup", "c0"):
-        verdict = decide_bounded_target(E, "sup" if args.to == "sup"
-                                        else "continuous-bounded")
-    else:
-        verdict = decide(E, parse_space(args.to, domain))
+    E, verdict = _decide_pair(args, domain)
     if verdict.obstruction is None:
         print(f"error: verdict is {verdict.status}; scans need an Infeasible "
               "pair with an obstruction recipe", file=sys.stderr)
         return 2
-    deltas = [Fraction(x) for x in args.deltas.split(",")]
+    deltas = [_parse_fraction(x) for x in args.deltas.split(",")]
     config = _quadrature_from(args)
     e_fun, f_fun = _scan_functionals(verdict.obstruction, E)
     series = scan(verdict.obstruction, e_fun, f_fun, deltas, domain=domain,
@@ -239,8 +248,8 @@ def cmd_table(args) -> int:
 
 def cmd_packing(args) -> int:
     domain = parse_domain(args.domain)
-    alpha = Fraction(args.alpha)
-    deltas = [Fraction(x) for x in args.deltas.split(",")]
+    alpha = _parse_fraction(args.alpha)
+    deltas = [_parse_fraction(x) for x in args.deltas.split(",")]
     counts = []
     for dl in deltas:
         result = (brute_force_packing if args.brute_force else greedy_packing)(
@@ -260,10 +269,10 @@ def cmd_irkbs(args) -> int:
     if args.series == "cos":
         spec = cosine_series()
     else:
-        coeffs = tuple(Fraction(c) for c in args.series.split(","))
+        coeffs = tuple(_parse_fraction(c) for c in args.series.split(","))
         spec = SeriesSpec(coeffs)
     rho = None if args.measure_class == "all" or args.domain_radius in (None, "inf") \
-        else Fraction(args.domain_radius)
+        else _parse_fraction(args.domain_radius)
     spec = SeriesSpec(spec.coefficients, rho)
     report_obj = check_applicability(
         spec, "all-finite-signed" if args.measure_class in (None, "all")

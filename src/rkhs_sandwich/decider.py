@@ -117,11 +117,12 @@ class Verdict:
 
     def __post_init__(self):
         if self.status == FEASIBLE:
-            assert self.witness is not None
+            if self.witness is None:
+                raise ValueError("Feasible verdicts must carry a witness chain")
             if not self.witness.replay():
                 raise AssertionError("witness chain failed embedding replay")
-        if self.status == INFEASIBLE:
-            assert self.obstruction is not None
+        if self.status == INFEASIBLE and self.obstruction is None:
+            raise ValueError("Infeasible verdicts must carry an obstruction recipe")
 
 
 _SMOOTH_SCALE = ("besov", "triebel-lizorkin", "slobodeckij", "sobolev", "holder")

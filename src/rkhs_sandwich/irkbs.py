@@ -201,15 +201,3 @@ def check_applicability(spec: SeriesSpec,
             "the restricted measure class must make sum |lambda_i| <., x>^i "
             "integrable"))
 
-
-def normalizer_reduction_agrees(spec: SeriesSpec, beta_bound: float,
-                                measure_class: str = "all-finite-signed") -> bool:
-    """A bounded weight beta can be absorbed into the measure: checking
-    (Psi, beta, M) must match checking (Psi, 1, beta*M).  Both paths reduce
-    to the same kernel-diagonal conditions, so the reports must agree."""
-    if not 0 < beta_bound < math.inf:
-        raise SeriesError("normalizing weight must be bounded and nonzero")
-    direct = check_applicability(spec, measure_class)
-    absorbed = check_applicability(spec, measure_class)  # beta*M is again in the class
-    return (direct.lemma_applicable == absorbed.lemma_applicable
-            and direct.psi_bounded_on_domain == absorbed.psi_bounded_on_domain)

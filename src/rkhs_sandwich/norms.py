@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -102,15 +102,6 @@ class NormFunctional:
         raise NormError(f"unknown functional kind {self.kind!r}")
 
 
-def lp_of_derivative(alpha: Sequence[int], p: float) -> NormFunctional:
-    return NormFunctional("lp-of-derivative", alpha=tuple(alpha), p=float(p))
-
-
-def sobolev_functional(order: int, p: float, dimension: int) -> NormFunctional:
-    return NormFunctional("slobodeckij-norm", s=float(order), p=float(p),
-                          alpha=(0,) * dimension)
-
-
 # -- integration boxes -----------------------------------------------------
 
 def _domain_box(domain: DomainSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -184,8 +175,15 @@ def lp_norm(fn, p: float, domain: DomainSpec,
 
 # -- Hoelder ----------------------------------------------------------------
 
-def default_point_cloud(fn, domain: DomainSpec, per_axis: int = 9,
-                        local: int = 5) -> np.ndarray:
+# midpoints per axis of the default cloud's global grid and of its grid on
+# each support box
+_CLOUD_PER_AXIS = 9
+_CLOUD_LOCAL = 5
+# active points per block of the pairwise Hoelder quotient matrix
+_HOELDER_CHUNK = 512
+
+
+def default_point_cloud(fn, domain: DomainSpec) -> np.ndarray:
     """Coarse global grid plus a finer grid on each support box.
 
     Unbounded domains carry no global grid; the cloud then consists of the
@@ -196,7 +194,7 @@ def default_point_cloud(fn, domain: DomainSpec, per_axis: int = 9,
     except (NormError, AttributeError):
         lo = hi = None
     if lo is not None:
-        pts, _ = _midpoint_grid(lo, hi, per_axis)
+        pts, _ = _midpoint_grid(lo, hi, _CLOUD_PER_AXIS)
         clouds.append(pts)
     boxes = getattr(fn, "support_boxes", None)
     if boxes is None:
@@ -206,7 +204,7 @@ def default_point_cloud(fn, domain: DomainSpec, per_axis: int = 9,
         if lo is not None:
             blo, bhi = np.maximum(blo, lo), np.minimum(bhi, hi)
         if np.all(bhi > blo):
-            local_pts, _ = _midpoint_grid(blo, bhi, local)
+            local_pts, _ = _midpoint_grid(blo, bhi, _CLOUD_LOCAL)
             clouds.append(local_pts)
             clouds.append((blo + bhi)[None, :] / 2)
     if not clouds:
@@ -215,8 +213,7 @@ def default_point_cloud(fn, domain: DomainSpec, per_axis: int = 9,
     return np.unique(np.vstack(clouds), axis=0)
 
 
-def hoelder_norm(fn, alpha: float, points: np.ndarray,
-                 chunk: int = 512) -> float:
+def hoelder_norm(fn, alpha: float, points: np.ndarray) -> float:
     """max(sup |g|, max pair quotient |g(x)-g(y)| / |x-y|^alpha) over the cloud.
 
     Certified lower bound for the true norm: every term is attained.  Pairs
@@ -228,8 +225,8 @@ def hoelder_norm(fn, alpha: float, points: np.ndarray,
     vals = np.asarray(fn(points), dtype=float)
     best = float(np.max(np.abs(vals))) if len(vals) else 0.0
     active = np.flatnonzero(vals != 0.0)
-    for start in range(0, len(active), chunk):
-        idx = active[start:start + chunk]
+    for start in range(0, len(active), _HOELDER_CHUNK):
+        idx = active[start:start + _HOELDER_CHUNK]
         diff = points[idx][:, None, :] - points[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
         # coincident points (including i == j) contribute nothing

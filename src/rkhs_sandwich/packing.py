@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,9 +82,13 @@ def _ball_candidates(d: int, den: int, radius: Fraction) -> np.ndarray:
     return pts[np.asarray(keep, dtype=bool)]
 
 
-def _grid_denominator(delta: Fraction, alpha: Fraction, spacing_divisor: int = 4) -> int:
+# the candidate lattice spacing is the Euclidean packing radius over this
+_SPACING_DIVISOR = 4
+
+
+def _grid_denominator(delta: Fraction, alpha: Fraction) -> int:
     r = _euclidean_radius(delta, alpha)
-    return max(2, math.ceil(spacing_divisor / r))
+    return max(2, math.ceil(_SPACING_DIVISOR / r))
 
 
 def _lattice_greedy(pts: np.ndarray, min_sq: int) -> np.ndarray:
@@ -159,37 +163,35 @@ def greedy_packing(domain: DomainSpec, delta, alpha=1,
     return PackingResult(delta, alpha, centers, len(centers), True)
 
 
+def _far_predicate(delta: Fraction, alpha: Fraction) -> Callable[[Fraction], bool]:
+    """dist -> (dist^alpha >= delta), decided exactly as dist^a >= delta^b
+    for alpha = a/b."""
+    a, thr = alpha.numerator, delta ** alpha.denominator
+    return lambda dist: dist ** a >= thr
+
+
 def _finite_metric_greedy(domain: DomainSpec, delta: Fraction,
                           alpha: Fraction) -> PackingResult:
     table = domain.metric_table
-    n = len(table)
-    a, b = alpha.numerator, alpha.denominator
-    thr = delta ** b
-
-    def far(i: int, j: int) -> bool:
-        return table[i][j] ** a >= thr  # d^alpha >= delta, exact
-
+    far = _far_predicate(delta, alpha)
     chosen: List[int] = []
-    for i in range(n):
-        if all(far(i, j) for j in chosen):
+    for i in range(len(table)):
+        if all(far(table[i][j]) for j in chosen):
             chosen.append(i)
     centers = tuple((Fraction(i),) for i in chosen)
     return PackingResult(delta, alpha, centers, len(chosen), True)
 
 
-def brute_force_packing(domain: DomainSpec, delta, alpha=1,
-                        den: Optional[int] = None) -> PackingResult:
+def brute_force_packing(domain: DomainSpec, delta, alpha=1) -> PackingResult:
     """Exact maximum packing over the candidate set (<= 24 candidates)."""
     delta, alpha = Fraction(delta), Fraction(alpha)
     if domain.kind == "finite-metric-set":
-        n = len(domain.metric_table)
-        a, b = alpha.numerator, alpha.denominator
-        thr = delta ** b
-        compat = [[domain.metric_table[i][j] ** a >= thr for j in range(n)]
-                  for i in range(n)]
+        far = _far_predicate(delta, alpha)
+        compat = [[far(dist) for dist in row] for row in domain.metric_table]
+        n = len(compat)
         pts = None
     else:
-        pts, den = _candidates_for(domain, delta, alpha, den)
+        pts, den = _candidates_for(domain, delta, alpha, None)
         n = len(pts)
         min_sq = _min_sq_lattice(delta, alpha, den)
         diff = pts[:, None, :] - pts[None, :, :]
@@ -229,41 +231,22 @@ def alpha_transform_check(domain: DomainSpec, delta, alpha) -> bool:
     grid: run both greedy packings over the same candidates and compare."""
     delta, alpha = Fraction(delta), Fraction(alpha)
     if domain.kind == "finite-metric-set":
+        # d >= delta^(1/alpha)  <=>  d^alpha >= delta: the right side packs
+        # under the same exact condition
         left = greedy_packing(domain, delta, alpha)
-        # d >= delta^(1/alpha)  <=>  d^alpha >= delta: realize the right side by
-        # packing with the pure metric at the transformed radius, exactly when
-        # the radius is rational; otherwise compare the defining conditions.
-        a, b = alpha.numerator, alpha.denominator
-        thr = delta ** b
-        table = domain.metric_table
-        chosen: List[int] = []
-        for i in range(len(table)):
-            if all(table[i][j] ** a >= thr for j in chosen):
-                chosen.append(i)
-        return left.count == len(chosen) and \
-            [int(c[0]) for c in left.centers] == chosen
+        return left.centers == _finite_metric_greedy(domain, delta, alpha).centers
 
-    den = _grid_denominator(delta, alpha)
-    pts, den = _candidates_for(domain, delta, alpha, den)
-    chosen_left = _lattice_greedy(pts, _min_sq_lattice(delta, alpha, den))
+    pts, den = _candidates_for(domain, delta, alpha, None)
+    min_sq_left = _min_sq_lattice(delta, alpha, den)
+    chosen_left = _lattice_greedy(pts, min_sq_left)
     # right side: radius delta^(1/alpha) in the plain Euclidean metric
-    a, b = alpha.numerator, alpha.denominator
-    rho_pow = Fraction(delta) ** b  # delta^(1/alpha) = rho_pow^(1/a)
-    root = _exact_root(rho_pow, a)
+    root = _exact_root(delta ** alpha.denominator, alpha.numerator)
     if root is not None:
         min_sq_right = _min_sq_lattice(root, Fraction(1), den)
     else:
-        # irrational transformed radius: derive its lattice threshold from the
-        # defining inequality dist >= delta^(1/alpha) <=> dist^(2a) >= delta^(2b)
-        target = rho_pow ** 2 * Fraction(den) ** (2 * a)
-        i = 1
-        guess = max(1, math.floor(float(target) ** (1.0 / a)) - 2)
-        i = guess
-        while Fraction(i) ** a < target:
-            i += 1
-        while i > 1 and Fraction(i - 1) ** a >= target:
-            i -= 1
-        min_sq_right = i
+        # irrational transformed radius: its defining inequality
+        # dist^(2a) >= delta^(2b) is the left side's threshold
+        min_sq_right = min_sq_left
     chosen_right = _lattice_greedy(pts, min_sq_right)
     return np.array_equal(chosen_left, chosen_right)
 

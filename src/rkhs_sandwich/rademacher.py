@@ -12,12 +12,12 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .bumps import SignedSum, SmoothBumpMember, indicator_partition, tent_family
-from .norms import DEFAULT_CONFIG, NormFunctional, QuadratureConfig, hoelder_norm
+from .norms import DEFAULT_CONFIG, NormFunctional, QuadratureConfig
 from .packing import greedy_packing
 from .spaces import DomainSpec
 
@@ -54,12 +54,15 @@ def _members_of(family) -> List:
 def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
                     mode: str = "exhaustive",
                     config: QuadratureConfig = DEFAULT_CONFIG,
-                    seed: Optional[int] = None) -> RademacherEstimate:
+                    seed: Union[int, np.random.Generator, None] = None
+                    ) -> RademacherEstimate:
     """E || sum_i eps_i f_i ||_F over independent uniform signs.
 
     Exhaustive mode averages all 2^n patterns (n <= 20); monte-carlo mode
     draws config.mc_samples patterns from a seeded generator and reports the
-    standard error of the mean.
+    standard error of the mean.  seed may also be a numpy Generator that the
+    caller shares across calls: it is used as is, so consecutive calls draw
+    consecutive stretches of one sign stream.
     """
     members = _members_of(family)
     n = len(members)
@@ -131,11 +134,12 @@ def _ratio(mode: str, rad_e: float, seq_e: float, rad_f: float,
     return seq_f / rad_e
 
 
-def _pattern_budget(n: int, config: QuadratureConfig) -> int:
-    # keep total functional evaluations bounded for large families
+def _sign_config(n: int, config: QuadratureConfig) -> QuadratureConfig:
+    """config with mc_samples capped so that a scan's total functional
+    evaluations stay bounded for large families."""
     if n * config.mc_samples <= 20000:
-        return config.mc_samples
-    return max(4, 20000 // n)
+        return config
+    return replace(config, mc_samples=max(4, 20000 // n))
 
 
 def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
@@ -247,12 +251,8 @@ def _scan_tents(recipe, E_functional, F_functional, deltas, domain, seed,
             replace(F_functional, points=cloud[[i, n + i]])(members[i], domain,
                                                             config) ** 2
             for i in range(n)))
-        budget = _pattern_budget(n, config)
-        vals = []
-        for _ in range(budget):
-            signs = [int(s) for s in rng.choice((1, -1), size=n)]
-            vals.append(e_fun(SignedSum(members, signs), domain, config))
-        rad_e = float(np.mean(vals))
+        rad_e = rademacher_norm(members, e_fun, domain, "monte-carlo",
+                                _sign_config(n, config), seed=rng).value
         pts.append((float(dl), n, _ratio(recipe.mode, rad_e, math.nan,
                                          math.nan, seq_f)))
     slope, res = _fit([math.log(1 / dl) for dl, _, _ in pts],
@@ -275,7 +275,6 @@ def _scan_smooth(recipe, E_functional, F_functional, deltas, domain, seed,
             centers = np.zeros((n, d))
             centers[:, 0] = 3.0 * np.arange(n)
             members = [SmoothBumpMember(d, c, 1.0) for c in centers]
-            fam = members
         else:
             fam = smooth_family(d, dl)
             members = fam.members
@@ -286,22 +285,13 @@ def _scan_smooth(recipe, E_functional, F_functional, deltas, domain, seed,
             # the family lives on its own ball regardless of the queried
             # domain; evaluate the norms where the bumps actually sit
             domain = fam.domain
-        seq_e = math.sqrt(sum(E_functional(m, domain, config) ** 2
-                              for m in members))
-        seq_f = math.sqrt(sum(F_functional(m, domain, config) ** 2
-                              for m in members))
-        budget = _pattern_budget(n, config)
-        rad_vals_e, rad_vals_f = [], []
-        for _ in range(budget):
-            signs = [int(s) for s in rng.choice((1, -1), size=n)]
-            h = SignedSum(members, signs)
-            if recipe.mode == "type2":
-                rad_vals_f.append(F_functional(h, domain, config))
-            else:
-                rad_vals_e.append(E_functional(h, domain, config))
-        rad_e = float(np.mean(rad_vals_e)) if rad_vals_e else math.nan
-        rad_f = float(np.mean(rad_vals_f)) if rad_vals_f else math.nan
-        pts.append((float(dl), n, _ratio(recipe.mode, rad_e, seq_e, rad_f, seq_f)))
+        seq_e = seq_l2_norm(members, E_functional, domain, config)
+        seq_f = seq_l2_norm(members, F_functional, domain, config)
+        # only the side that _ratio reads for this mode is averaged
+        rad_fun = F_functional if recipe.mode == "type2" else E_functional
+        rad = rademacher_norm(members, rad_fun, domain, "monte-carlo",
+                              _sign_config(n, config), seed=rng).value
+        pts.append((float(dl), n, _ratio(recipe.mode, rad, seq_e, rad, seq_f)))
     slope, res = _fit([math.log(1 / dl) for dl, _, _ in pts],
                       [math.log(r) for _, _, r in pts])
     return ScanSeries(tuple(pts), slope, res, recipe.mode, "1/delta")

@@ -1,12 +1,17 @@
 """Decision-engine tests: verdicts, witness chains, obstruction recipes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkhs_sandwich import (INF, UInterval, admissible_u_interval, besov,
+import rkhs_sandwich
+from rkhs_sandwich import (INF, UInterval, Verdict, admissible_u_interval, besov,
                            c_infinity, chain_holds, cube, decide,
                            decide_bounded_target, holder, lebesgue_lp,
                            mixed_sobolev, sequence_lp, slobodeckij,
@@ -195,6 +200,27 @@ class TestInvariantsAndRecipes:
         ineq = Inequality(xr(1), xr(2), ">", "demo")
         with pytest.raises(ValueError):
             ObstructionRecipe(ineq, "lp-unit-vectors", xr(0), "type2")
+
+    def test_verdict_requires_witness_or_obstruction(self):
+        with pytest.raises(ValueError):
+            Verdict("Feasible", "demo")
+        with pytest.raises(ValueError):
+            Verdict("Infeasible", "demo")
+
+    def test_verdict_guards_survive_optimize(self):
+        # python -O strips assert statements; the guards must not be asserts
+        code = ("from rkhs_sandwich import Verdict\n"
+                "for status in ('Feasible', 'Infeasible'):\n"
+                "    try:\n"
+                "        Verdict(status, 'demo')\n"
+                "    except ValueError:\n"
+                "        continue\n"
+                "    raise SystemExit(status + ' verdict accepted')\n")
+        src = str(Path(rkhs_sandwich.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_uinterval_emptiness(self):
         assert UInterval(xr(1), xr(1), True, True).is_empty()

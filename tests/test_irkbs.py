@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rkhs_sandwich import (DecompositionReport, SeriesSpec, check_applicability,
-                           cosine_series, normalizer_reduction_agrees,
-                           radius_lower_bound, split_series)
+                           cosine_series, radius_lower_bound, split_series)
 from rkhs_sandwich.irkbs import OutOfDomainError, SeriesError
 
 
@@ -150,15 +149,3 @@ class TestApplicability:
         b_large = check_applicability(SeriesSpec(coeffs, Fraction(1)))
         assert b_small.diagonal_bound < b_large.diagonal_bound
 
-
-class TestNormalizerReduction:
-    def test_bounded_weight_agrees(self):
-        assert normalizer_reduction_agrees(cosine_series(12), 3.0)
-        spec = SeriesSpec(cosine_series(12).coefficients, None)
-        assert normalizer_reduction_agrees(spec, 0.5)
-
-    def test_invalid_weight(self):
-        with pytest.raises(SeriesError):
-            normalizer_reduction_agrees(cosine_series(12), 0.0)
-        with pytest.raises(SeriesError):
-            normalizer_reduction_agrees(cosine_series(12), math.inf)

@@ -39,6 +39,11 @@ class TestGreedy:
         dom = finite_metric([[0, 1], [1, 0]])
         assert greedy_packing(dom, Fraction(1, 2)).count == 2
         assert brute_force_packing(dom, Fraction(1, 2)).count == 2
+        # d^alpha == delta exactly: the pair still counts as separated
+        for delta, alpha in ((1, 1), (1, Fraction(1, 2))):
+            assert greedy_packing(dom, delta, alpha).count == 2
+            assert brute_force_packing(dom, delta, alpha).count == 2
+        assert brute_force_packing(dom, Fraction(3, 2)).count == 1
 
     def test_square_grid_lower_bound(self):
         res = greedy_packing(cube(2), Fraction(1, 8))

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from rkhs_sandwich import (NormFunctional, QuadratureConfig, cube, decide,
-                           indicator_partition, lebesgue_lp, rademacher_norm,
-                           scan, seq_l2_norm, sequence_lp, smooth_family)
+                           decide_bounded_target, indicator_partition,
+                           lebesgue_lp, rademacher_norm, scan, seq_l2_norm,
+                           sequence_lp, slobodeckij, smooth_family, whole_space)
 from rkhs_sandwich.rademacher import ModeError, ScanError
 
 FAST = QuadratureConfig(resolution=16, tolerance=1e-4)
@@ -113,15 +114,23 @@ class TestScan:
             scan(recipe, None, None, [Fraction(1, 8), Fraction(1, 4)])
 
     def test_smooth_bump_scan_runs(self):
-        # p1 = 1 source on the line: type side diverges at rate 1/2
-        from rkhs_sandwich import slobodeckij
-        dom = cube(2)
-        recipe = decide(slobodeckij(Fraction(3, 2), 1, dom),
-                        slobodeckij(1, 2, dom)).obstruction
+        # recorded points: one seeded sign stream runs through every delta,
+        # so any drift shows here.  The type2 case is a p1 = 1 source on the
+        # square; the cotype2 case marches fixed-size bumps off to infinity
+        # in the plane.
+        square, plane = cube(2), whole_space(2)
+        cases = [
+            (decide(slobodeckij(Fraction(3, 2), 1, square),
+                    slobodeckij(1, 2, square)).obstruction, square,
+             [Fraction(1, 4), Fraction(1, 8)],
+             ((0.25, 2, 0.7071067811865475), (0.125, 7, 0.3779644730092272))),
+            (decide_bounded_target(slobodeckij(2, 2, plane), "sup").obstruction,
+             plane, [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)],
+             ((0.25, 4, 2.0), (0.125, 8, 2.8284271247461903), (0.0625, 16, 4.0))),
+        ]
         fn = NormFunctional("sup")
-        series = scan(recipe, fn, fn, [Fraction(1, 4), Fraction(1, 8)],
-                      domain=dom, seed=3,
-                      config=QuadratureConfig(resolution=16, tolerance=1e-4,
-                                              mc_samples=4))
-        assert len(series.points) == 2
-        assert all(r > 0 for _, _, r in series.points)
+        for recipe, dom, deltas, expected in cases:
+            series = scan(recipe, fn, fn, deltas, domain=dom, seed=3,
+                          config=QuadratureConfig(resolution=16, tolerance=1e-4,
+                                                  mc_samples=4))
+            assert series.points == expected, recipe.mode

@@ -68,6 +68,23 @@ class TestDecideCommand:
         code = main(["decide", "--from", "holder:1/2", "--to", "sup"])
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["decide", "--from", "slobo:1", "--to", "slobo:0:2", "--domain", "cube:1"],
+        ["decide", "--from", "mixsob:2", "--to", "sup", "--domain", "cube:1"],
+        ["decide", "--from", "lp:1/0", "--to", "lp:2"],
+        ["packing", "--domain", "cube:2", "--deltas", "1/0,1/4,1/8"],
+        ["scan", "--from", "lp:3", "--to", "lp:4", "--deltas", "1/4,1/0"],
+        ["table", "--kind", "lp", "--values", "1,1/0"],
+    ])
+    def test_malformed_input_usage_error(self, capsys, argv):
+        # wrong parameter counts and zero denominators are usage errors,
+        # never tracebacks
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_citations_carry_registered_anchors(self, capsys):
         code, out = _run(capsys, ["decide", "--from", "slobo:11/5:2",
                                   "--to", "slobo:3/10:2", "--domain", "cube:2"])
