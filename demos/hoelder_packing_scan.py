@@ -1,12 +1,12 @@
-"""Packing numbers, the power-metric trick, and a cotype blow-up scan.
+"""Packing numbers, a packing-exponent fit, and a cotype blow-up scan.
 
 Run:  python3 demos/hoelder_packing_scan.py
 """
 
 from fractions import Fraction
 
-from rkhs_sandwich import (alpha_transform_check, brute_force_packing, cube,
-                           decide, exponent_fit, greedy_packing, sequence_lp)
+from rkhs_sandwich import (brute_force_packing, cube, decide, exponent_fit,
+                           greedy_packing, sequence_lp)
 
 
 def main():
@@ -18,9 +18,6 @@ def main():
     for d in (1, 2):
         print(f"packing exponent fit on the {d}-cube:",
               round(exponent_fit(cube(d), deltas), 3))
-
-    print("power-metric identity P(X, d^a, t) == P(X, d, t^(1/a)) holds:",
-          alpha_transform_check(cube(1), Fraction(1, 8), Fraction(1, 2)))
 
     print("\ncotype blow-up for l3 -> l4 (no intermediate Hilbert space):")
     recipe = decide(sequence_lp(3), sequence_lp(4)).obstruction

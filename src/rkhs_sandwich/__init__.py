@@ -13,8 +13,8 @@ from .embeddings import EmbedVerdict, chain_holds, embeds, rewrite_identificatio
 from .decider import (BORDERLINE, FEASIBLE, INFEASIBLE, STATUS_EXIT_CODES,
                       UNDETERMINED, UInterval, Verdict, WitnessChain,
                       admissible_u_interval, decide, decide_bounded_target)
-from .packing import (PackingResult, alpha_transform_check, brute_force_packing,
-                      exponent_fit, greedy_packing)
+from .packing import (PackingResult, brute_force_packing, exponent_fit,
+                      greedy_packing)
 from .bumps import (BumpFamily, SignedSum, SmoothBump, TentMember, eval_bump,
                     eval_bump_derivative, indicator_partition, smooth_family,
                     tent_family)

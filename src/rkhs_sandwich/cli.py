@@ -121,7 +121,8 @@ def parse_space(text: str, domain: Optional[DomainSpec]) -> SpaceSpec:
 def _quadrature_from(args) -> QuadratureConfig:
     return QuadratureConfig(
         tolerance=float(args.tolerance) if args.tolerance else DEFAULT_CONFIG.tolerance,
-        mc_samples=args.mc_samples or DEFAULT_CONFIG.mc_samples)
+        mc_samples=args.mc_samples if args.mc_samples is not None
+        else DEFAULT_CONFIG.mc_samples)
 
 
 def _verdict_payload(verdict) -> dict:
@@ -227,14 +228,11 @@ def cmd_table(args) -> int:
                     continue
                 dom = domain or cube(1)
                 verdict = decide(lebesgue_lp(a, dom), lebesgue_lp(b, dom))
-            elif args.kind == "slobodeckij":
+            else:  # slobodeckij
                 dom = domain or cube(2)
                 if not a > b:
                     continue
                 verdict = decide(slobodeckij(a, 2, dom), slobodeckij(b, 2, dom))
-            else:
-                print(f"error: unknown table kind {args.kind!r}", file=sys.stderr)
-                return 2
         except ValueError:
             continue
         cells.append({"row": str(a), "col": str(b), "status": verdict.status,

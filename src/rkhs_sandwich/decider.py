@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from . import embeddings as emb
 from .spaces import (DomainSpec, SpaceSpec, lebesgue_lp, sequence_lp,
-                     slobodeckij, triebel_lizorkin, validate_space)
+                     slobodeckij, triebel_lizorkin)
 from .xrational import INF, ExtRational, pos_part, deficiency, xr
 
 FEASIBLE = "Feasible"
@@ -222,18 +222,23 @@ def _decide_lebesgue(E: SpaceSpec, F: SpaceSpec) -> Verdict:
     return Verdict(INFEASIBLE, rule, obstruction=rec)
 
 
-def _packing_exponent(domain: DomainSpec) -> ExtRational:
+_NO_EXPONENT = "the packing exponent of the domain could not be fitted"
+
+
+def _packing_exponent(domain: DomainSpec) -> Optional[ExtRational]:
+    """The domain's packing exponent, or None when a finite metric space's
+    packing counts carry no exponent information."""
     if domain.kind in ("unit-cube", "euclidean-ball"):
         return xr(domain.dimension)
     if domain.kind == "finite-metric-set":
-        from .packing import exponent_fit
+        from .packing import PackingError, exponent_fit
         dists = sorted({d for row in domain.metric_table for d in row if d > 0})
         hi, lo = dists[-1], dists[0]
         deltas = [hi, (hi + lo) / 2, lo]
         try:
             est = exponent_fit(domain, deltas)
-        except Exception:
-            est = 0.0
+        except PackingError:
+            return None
         return xr(Fraction(est).limit_denominator(1000))
     raise DecisionError(f"no packing exponent for domain kind {domain.kind!r}")
 
@@ -244,6 +249,8 @@ def _decide_holder(E: SpaceSpec, F: SpaceSpec) -> Verdict:
         raise DecisionError("Hoelder pair requires alpha >= beta")
     k = _packing_exponent(E.domain)
     rule = "holder-packing"
+    if k is None:
+        return Verdict(UNDETERMINED, rule, reason=_NO_EXPONENT)
     gap2 = 2 * (alpha - beta)
     if gap2 < k:
         ineq = Inequality(gap2, k, ">=", "packing exponent bound 2(alpha-beta)")
@@ -307,8 +314,6 @@ def _decide_mixed(E: SpaceSpec, F: SpaceSpec) -> Verdict:
 
 def decide(E: SpaceSpec, F: SpaceSpec) -> Verdict:
     """Can a reproducing kernel Hilbert space sit between E and F?"""
-    validate_space(E)
-    validate_space(F)
     if E.domain != F.domain:
         raise DecisionError("decision endpoints must share a domain")
     if F.family in ("sup", "continuous-bounded"):
@@ -344,7 +349,6 @@ def decide(E: SpaceSpec, F: SpaceSpec) -> Verdict:
 
 def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
     """Existence of an RKHS between E and the bounded (sup-norm) functions."""
-    validate_space(E)
     if target not in ("sup", "continuous-bounded"):
         raise DecisionError(f"unknown bounded target {target!r}")
     dom = E.domain
@@ -367,6 +371,8 @@ def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
     # Besov rewrite and the threshold rule below
     if E.family == "holder":
         k = _packing_exponent(dom)
+        if k is None:
+            return Verdict(UNDETERMINED, "holder-packing", reason=_NO_EXPONENT)
         if 2 * E.s < k:
             ineq = Inequality(2 * E.s, k, ">=", "packing exponent bound 2*alpha")
             rec = ObstructionRecipe(ineq, "hoelder-tent-bumps",

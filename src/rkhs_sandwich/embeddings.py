@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .spaces import DomainError, SpaceSpec, validate_space
+from .spaces import DomainError, SpaceSpec
 from .xrational import INF, ExtRational, xr
 
 HOLDS = "Holds"
@@ -57,7 +57,6 @@ def rewrite_identifications(spec: SpaceSpec) -> SpaceSpec:
     holder(a) -> besov(a,inf,inf); besov(s,p,p) with finite p -> TL(s,p,p).
     Idempotent.
     """
-    validate_space(spec)
     fam = spec.family
     if fam == "sobolev":
         return SpaceSpec("triebel-lizorkin", spec.domain, s=spec.s, p=spec.p, q=xr(2))
@@ -116,8 +115,6 @@ def embeds(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
     Lebesgue (R9), direct Hoelder inclusion (R7), bounded targets (R10), then
     family identifications (R11) followed by the Besov/TL rules R1-R5.
     """
-    validate_space(E)
-    validate_space(F)
     if E.domain != F.domain:
         raise DomainError("embedding endpoints must share a domain")
 

@@ -53,6 +53,8 @@ class QuadratureConfig:
             raise ValueError("resolution must be at least 16")
         if not 0 < self.tolerance <= 1e-3:
             raise ValueError("tolerance must lie in (0, 1e-3]")
+        if self.mc_samples < 1:
+            raise ValueError("mc_samples must be at least 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -32,17 +32,10 @@ class PackingResult:
     alpha: Fraction
     centers: Tuple[Tuple[Fraction, ...], ...]
     count: int
-    maximality_certificate: bool
     exact: bool = False  # True when produced by the brute-force oracle
 
     def centers_array(self) -> np.ndarray:
         return np.array([[float(c) for c in pt] for pt in self.centers], dtype=float)
-
-    def to_csv(self) -> str:
-        lines = [",".join(f"x{i}" for i in range(len(self.centers[0])))]
-        for pt in self.centers:
-            lines.append(",".join(str(float(c)) for c in pt))
-        return "\n".join(lines) + "\n"
 
 
 def _euclidean_radius(delta: Fraction, alpha: Fraction) -> float:
@@ -139,9 +132,7 @@ def greedy_packing(domain: DomainSpec, delta, alpha=1,
                    den: Optional[int] = None) -> PackingResult:
     """Greedy maximal delta-packing of the domain in the metric d^alpha.
 
-    The count is a certified lower bound for P(X, d^alpha, delta); the
-    certificate records that every grid candidate lies within delta of a
-    chosen center (true by construction of the elimination loop).
+    The count is a certified lower bound for P(X, d^alpha, delta).
     """
     delta, alpha = Fraction(delta), Fraction(alpha)
     if delta <= 0:
@@ -155,12 +146,10 @@ def greedy_packing(domain: DomainSpec, delta, alpha=1,
         raise PackingError("packing requires a bounded or finite domain")
 
     pts, den = _candidates_for(domain, delta, alpha, den)
-    if len(pts) == 0:
-        raise PackingError("empty candidate set")
     min_sq = _min_sq_lattice(delta, alpha, den)
     chosen = _lattice_greedy(pts, min_sq)
     centers = _as_fraction_points(pts[chosen], den)
-    return PackingResult(delta, alpha, centers, len(centers), True)
+    return PackingResult(delta, alpha, centers, len(centers))
 
 
 def _far_predicate(delta: Fraction, alpha: Fraction) -> Callable[[Fraction], bool]:
@@ -179,7 +168,7 @@ def _finite_metric_greedy(domain: DomainSpec, delta: Fraction,
         if all(far(table[i][j]) for j in chosen):
             chosen.append(i)
     centers = tuple((Fraction(i),) for i in chosen)
-    return PackingResult(delta, alpha, centers, len(chosen), True)
+    return PackingResult(delta, alpha, centers, len(chosen))
 
 
 def brute_force_packing(domain: DomainSpec, delta, alpha=1) -> PackingResult:
@@ -223,52 +212,7 @@ def brute_force_packing(domain: DomainSpec, delta, alpha=1) -> PackingResult:
         centers = tuple((Fraction(i),) for i in best)
     else:
         centers = _as_fraction_points(pts[np.array(best, dtype=np.int64)], den)
-    return PackingResult(delta, alpha, centers, len(best), True, exact=True)
-
-
-def alpha_transform_check(domain: DomainSpec, delta, alpha) -> bool:
-    """P(X, d^alpha, delta) = P(X, d, delta^(1/alpha)) on a fixed candidate
-    grid: run both greedy packings over the same candidates and compare."""
-    delta, alpha = Fraction(delta), Fraction(alpha)
-    if domain.kind == "finite-metric-set":
-        # d >= delta^(1/alpha)  <=>  d^alpha >= delta: the right side packs
-        # under the same exact condition
-        left = greedy_packing(domain, delta, alpha)
-        return left.centers == _finite_metric_greedy(domain, delta, alpha).centers
-
-    pts, den = _candidates_for(domain, delta, alpha, None)
-    min_sq_left = _min_sq_lattice(delta, alpha, den)
-    chosen_left = _lattice_greedy(pts, min_sq_left)
-    # right side: radius delta^(1/alpha) in the plain Euclidean metric
-    root = _exact_root(delta ** alpha.denominator, alpha.numerator)
-    if root is not None:
-        min_sq_right = _min_sq_lattice(root, Fraction(1), den)
-    else:
-        # irrational transformed radius: its defining inequality
-        # dist^(2a) >= delta^(2b) is the left side's threshold
-        min_sq_right = min_sq_left
-    chosen_right = _lattice_greedy(pts, min_sq_right)
-    return np.array_equal(chosen_left, chosen_right)
-
-
-def _exact_root(x: Fraction, k: int) -> Optional[Fraction]:
-    """x^(1/k) when it is rational, else None."""
-    if k == 1:
-        return x
-
-    def iroot(n: int) -> Optional[int]:
-        if n == 0:
-            return 0
-        r = round(n ** (1.0 / k))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** k == n:
-                return c
-        return None
-
-    num, den_ = iroot(x.numerator), iroot(x.denominator)
-    if num is None or den_ is None:
-        return None
-    return Fraction(num, den_)
+    return PackingResult(delta, alpha, centers, len(best), exact=True)
 
 
 def exponent_fit(domain: DomainSpec, deltas: Sequence, alpha=1) -> float:

@@ -141,10 +141,6 @@ class DomainSpec:
     def bounded(self) -> bool:
         return self.kind in ("unit-cube", "euclidean-ball", "finite-metric-set")
 
-    @property
-    def point_count(self) -> Optional[int]:
-        return len(self.metric_table) if self.metric_table is not None else None
-
 
 def cube(d: int) -> DomainSpec:
     return DomainSpec("unit-cube", d)
@@ -202,11 +198,6 @@ class SpaceSpec:
             if v is not None and not isinstance(v, ExtRational):
                 object.__setattr__(self, name, xr(v))
         validate_space(self)
-
-    # convenience
-    @property
-    def alpha(self) -> ExtRational:
-        return self.s
 
     def with_params(self, **kw) -> "SpaceSpec":
         data = {"family": self.family, "domain": self.domain, "s": self.s,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rkhs_sandwich import (INF, NormFunctional, QuadratureConfig, SeriesSpec,
-                           TentMember, alpha_transform_check, ball, besov,
+                           TentMember, ball, besov,
                            brute_force_packing, check_applicability,
                            cosine_series, cube, decide, decide_bounded_target,
                            deficiency, exponent_fit, greedy_packing,
@@ -194,11 +194,6 @@ def test_08_packing():
         fit2 = exponent_fit(cube(2), [Fraction(1, 8), Fraction(1, 16),
                                       Fraction(1, 32)])
         assert abs(fit2 - 2.0) <= 0.2, fit2
-
-        for dom, dl, al in [(cube(1), Fraction(1, 8), Fraction(1, 2)),
-                            (cube(1), Fraction(1, 9), Fraction(1, 3)),
-                            (cube(2), Fraction(1, 4), Fraction(1, 2))]:
-            assert alpha_transform_check(dom, dl, al), (dom, dl, al)
 
         greedy = greedy_packing(cube(1), Fraction(1, 4))
         brute = brute_force_packing(cube(1), Fraction(1, 4))

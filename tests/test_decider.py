@@ -81,6 +81,16 @@ class TestHolderPairs:
         assert v.status in ("Undetermined", "Infeasible", "Borderline")
         assert v.status != "Feasible"
 
+    def test_unfittable_packing_exponent_is_undetermined(self):
+        # two points at one distance: the packing counts carry no exponent,
+        # so no packing inequality can be claimed, not even with equality
+        dom = finite_metric([[0, 1], [1, 0]])
+        for v in (decide(holder(Fraction(1, 2), dom), holder(Fraction(1, 2), dom)),
+                  decide_bounded_target(holder(Fraction(1, 2), dom))):
+            assert v.status == "Undetermined"
+            assert v.rule == "holder-packing"
+            assert "could not be fitted" in v.reason
+
 
 class TestSmoothScalePairs:
     def test_slobodeckij_feasible_interval(self):

@@ -1,11 +1,14 @@
-"""Packing numbers: greedy counts, brute-force oracle, metric-power transform."""
+"""Packing numbers: greedy counts, exact separation and maximality, the
+brute-force oracle and the exponent fit."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rkhs_sandwich import (alpha_transform_check, brute_force_packing, cube,
-                           exponent_fit, greedy_packing)
+from rkhs_sandwich import (brute_force_packing, cube, exponent_fit,
+                           greedy_packing, packing)
 from rkhs_sandwich.packing import DegenerateFitError, PackingError
 from rkhs_sandwich.spaces import finite_metric
 
@@ -67,27 +70,56 @@ class TestGreedy:
             greedy_packing(cube(1), Fraction(1, 4), 2)
 
 
-class TestAlphaTransform:
-    def test_identity_power(self):
-        assert alpha_transform_check(cube(2), Fraction(1, 4), 1)
+LINE = finite_metric([[0, 1, 2, 3, 4],
+                      [1, 0, 1, 2, 3],
+                      [2, 1, 0, 1, 2],
+                      [3, 2, 1, 0, 1],
+                      [4, 3, 2, 1, 0]])
 
-    def test_square_root_power(self):
-        assert alpha_transform_check(cube(1), Fraction(1, 4), Fraction(1, 2))
 
-    def test_finite_line(self):
-        dom = finite_metric([[0, 1, 2, 3, 4],
-                             [1, 0, 1, 2, 3],
-                             [2, 1, 0, 1, 2],
-                             [3, 2, 1, 0, 1],
-                             [4, 3, 2, 1, 0]])
-        assert alpha_transform_check(dom, 1, Fraction(1, 2))
+def _lattice_sq(pts, centers, den):
+    """Exact squared distances, in units of 1/den^2, from each integer
+    lattice point to each center."""
+    assert all((x * den).denominator == 1 for c in centers for x in c)
+    cen = np.array([[int(x * den) for x in c] for c in centers], dtype=np.int64)
+    return sum((pts[:, None, k] - cen[None, :, k]) ** 2 for k in range(pts.shape[1]))
 
-    def test_assorted_triples(self):
-        for dom, dl, al in [(cube(1), Fraction(1, 4), Fraction(1, 2)),
-                            (cube(2), Fraction(1, 4), Fraction(1, 2)),
-                            (cube(1), Fraction(1, 9), Fraction(1, 2)),
-                            (cube(2), Fraction(1, 8), Fraction(2, 3))]:
-            assert alpha_transform_check(dom, dl, al)
+
+@pytest.mark.parametrize("dom,delta,alpha", [
+    (cube(2), Fraction(1, 4), Fraction(1)),
+    (cube(1), Fraction(1, 4), Fraction(1, 2)),
+    (cube(2), Fraction(1, 4), Fraction(1, 2)),
+    (cube(1), Fraction(1, 9), Fraction(1, 2)),
+    (cube(2), Fraction(1, 8), Fraction(2, 3)),
+    (LINE, Fraction(1), Fraction(1, 2)),
+    (LINE, Fraction(2), Fraction(1)),
+])
+def test_greedy_packing_is_separated_and_maximal(dom, delta, alpha):
+    """Every pair of centers meets d^alpha >= delta exactly, and every
+    candidate is a center or breaks that rule against some center."""
+    res = greedy_packing(dom, delta, alpha)
+    a, b = alpha.numerator, alpha.denominator
+    thr = delta ** (2 * b)  # d^alpha >= delta  <=>  (d^2)^a >= delta^(2b)
+    if dom.kind == "finite-metric-set":
+        table = dom.metric_table
+        chosen = [int(c[0]) for c in res.centers]
+
+        def far(i, j):
+            return (table[i][j] ** 2) ** a >= thr
+        assert all(far(i, j) for i, j in itertools.combinations(chosen, 2))
+        assert all(i in chosen or not all(far(i, j) for j in chosen)
+                   for i in range(len(table)))
+        return
+    pts, den = packing._candidates_for(dom, delta, alpha, None)
+    sq = _lattice_sq(pts, res.centers, den)
+    values = np.unique(sq)
+    near = np.isin(sq, values[[Fraction(int(v), den * den) ** a < thr
+                               for v in values]])
+    is_center = sq == 0
+    assert (is_center.sum(axis=0) == 1).all()  # each center is one candidate
+    # a center is near only itself; every candidate is near some center
+    assert (near[is_center.any(axis=1)].sum(axis=1) == 1).all()
+    assert near.any(axis=1).all()
 
 
 class TestExponentFit:

@@ -75,6 +75,10 @@ class TestDecideCommand:
         ["packing", "--domain", "cube:2", "--deltas", "1/0,1/4,1/8"],
         ["scan", "--from", "lp:3", "--to", "lp:4", "--deltas", "1/4,1/0"],
         ["table", "--kind", "lp", "--values", "1,1/0"],
+        ["scan", "--from", "holder:1/4", "--to", "sup", "--domain", "cube:1",
+         "--deltas", "1/4,1/8", "--mc-samples", "-3"],
+        ["scan", "--from", "holder:1/4", "--to", "sup", "--domain", "cube:1",
+         "--deltas", "1/4,1/8", "--mc-samples", "0"],
     ])
     def test_malformed_input_usage_error(self, capsys, argv):
         # wrong parameter counts and zero denominators are usage errors,
