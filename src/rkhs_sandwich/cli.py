@@ -149,16 +149,16 @@ _BOUNDED_TARGETS = {"sup": "sup", "c0": "continuous-bounded"}
 
 
 def _decide_pair(args, domain: Optional[DomainSpec]):
-    """Parse --from/--to and decide the pair; returns (E, verdict)."""
+    """Parse --from/--to and decide the pair."""
     E = parse_space(args.source, domain)
     if args.to in _BOUNDED_TARGETS:
-        return E, decide_bounded_target(E, _BOUNDED_TARGETS[args.to])
-    return E, decide(E, parse_space(args.to, domain))
+        return decide_bounded_target(E, _BOUNDED_TARGETS[args.to])
+    return decide(E, parse_space(args.to, domain))
 
 
 def cmd_decide(args) -> int:
     domain = parse_domain(args.domain) if args.domain else None
-    _, verdict = _decide_pair(args, domain)
+    verdict = _decide_pair(args, domain)
     report = Report.build("decide",
                           {"from": args.source, "to": args.to,
                            "domain": args.domain},
@@ -170,14 +170,14 @@ def cmd_decide(args) -> int:
 
 def cmd_scan(args) -> int:
     domain = parse_domain(args.domain) if args.domain else None
-    E, verdict = _decide_pair(args, domain)
+    verdict = _decide_pair(args, domain)
     if verdict.obstruction is None:
         print(f"error: verdict is {verdict.status}; scans need an Infeasible "
               "pair with an obstruction recipe", file=sys.stderr)
         return 2
     deltas = [_parse_fraction(x) for x in args.deltas.split(",")]
     config = _quadrature_from(args)
-    e_fun, f_fun = _scan_functionals(verdict.obstruction, E)
+    e_fun, f_fun = _scan_functionals(verdict.obstruction)
     series = scan(verdict.obstruction, e_fun, f_fun, deltas, domain=domain,
                   seed=args.seed, config=config)
     if args.csv:
@@ -200,7 +200,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _scan_functionals(recipe, E: SpaceSpec):
+def _scan_functionals(recipe):
     c = recipe.construction
     if c == "hoelder-tent-bumps":
         return (NormFunctional("hoelder", holder_exponent=float(recipe.params["alpha"])),

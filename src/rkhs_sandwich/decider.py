@@ -137,8 +137,8 @@ def _hilbert_link(u: ExtRational, like: SpaceSpec) -> SpaceSpec:
 
 def _threshold_interval(E: SpaceSpec, F: SpaceSpec, closed: bool) -> UInterval:
     d = xr(E.domain.dimension)
-    s, p1 = E.s, E.p if E.p is not None else INF
-    t, p2 = F.s, F.p if F.p is not None else INF
+    s, p1 = E.s, E.p
+    t, p2 = F.s, F.p
     lo = t + pos_part(d / 2 - d / p2)
     hi = s - pos_part(d / p1 - d / 2)
     if closed:
@@ -233,6 +233,8 @@ def _packing_exponent(domain: DomainSpec) -> Optional[ExtRational]:
     if domain.kind == "finite-metric-set":
         from .packing import PackingError, exponent_fit
         dists = sorted({d for row in domain.metric_table for d in row if d > 0})
+        if not dists:  # a single point has no scale to fit against
+            return None
         hi, lo = dists[-1], dists[0]
         deltas = [hi, (hi + lo) / 2, lo]
         try:
@@ -407,7 +409,7 @@ def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
         s, p = Ec.s, Ec.p
         if not s > d / p:
             raise DecisionError("bounded target requires s > d/p for the embedding")
-        thr = pos_part(d / p - d / 2) + d / 2
+        thr = deficiency(p, INF, dom.dimension)
         rule = "c0-threshold"
         if s > thr:
             interval = UInterval(d / 2, s - pos_part(d / p - d / 2), True, True)
@@ -419,9 +421,8 @@ def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
         if s == thr:
             return Verdict(BORDERLINE, rule,
                            reason="smoothness equals the bounded-target threshold exactly")
-        ineq = Inequality(s, thr, ">", "bounded-target deficiency")
-        rec = ObstructionRecipe(ineq, "smooth-scaled-bumps", d / 2 - s, "cotype2",
-                                params={"s": s, "p": p, "d": dom.dimension})
+        rec = _smooth_obstruction(s, 0, p, INF, dom.dimension,
+                                  "smooth-scaled-bumps", "bounded-target deficiency")
         return Verdict(INFEASIBLE, rule, obstruction=rec)
 
     if E.family == "sequence-lp":

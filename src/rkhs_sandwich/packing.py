@@ -46,14 +46,12 @@ def _euclidean_radius(delta: Fraction, alpha: Fraction) -> float:
 def _min_sq_lattice(delta: Fraction, alpha: Fraction, den: int) -> int:
     """Smallest integer I such that a lattice pair with squared Euclidean
     distance I/den^2 satisfies dist^alpha >= delta.  Exact."""
-    a, b = alpha.numerator, alpha.denominator
-    # (I/den^2)^a >= delta^(2b)  <=>  I^a >= delta^(2b) * den^(2a)
-    target = Fraction(delta) ** (2 * b) * Fraction(den) ** (2 * a)
-    guess = max(1, math.floor(float(target) ** (1.0 / a)) - 2)
-    i = guess
-    while Fraction(i) ** a < target:
+    far_sq = _far_predicate(delta, alpha / 2)  # dist^alpha = (dist^2)^(alpha/2)
+    sq = den ** 2
+    i = max(1, math.floor(float(delta) ** (2 / float(alpha)) * sq) - 2)
+    while not far_sq(Fraction(i, sq)):
         i += 1
-    while i > 1 and Fraction(i - 1) ** a >= target:
+    while i > 1 and far_sq(Fraction(i - 1, sq)):
         i -= 1
     return i
 

@@ -16,9 +16,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bumps import SignedSum, SmoothBumpMember, indicator_partition, tent_family
+from .bumps import SignedSum, SmoothBumpMember, smooth_family, tent_family
 from .norms import DEFAULT_CONFIG, NormFunctional, QuadratureConfig
-from .packing import greedy_packing
 from .spaces import DomainSpec
 
 
@@ -149,70 +148,55 @@ def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
     """Evaluate the blow-up ratio of an obstruction recipe along deltas.
 
     The fitted slope estimates recipe.predicted_exponent; the log axis is n
-    for sequence-space recipes and 1/delta otherwise.
+    for sequence-space recipes and 1/delta otherwise.  One sign stream,
+    seeded once from seed, runs through every delta in order, so the signs
+    drawn at a delta depend on the deltas before it.
     """
     if recipe.predicted_exponent <= 0:
         raise ScanError("scan requires a strictly positive predicted exponent")
     deltas = [Fraction(dl) for dl in deltas]
     _check_deltas(deltas)
-    c = recipe.construction
-    if c == "lp-unit-vectors":
-        return _scan_unit_vectors(recipe, deltas)
-    if c == "Lp-indicator-partition":
-        return _scan_indicators(recipe, deltas)
-    if c == "hoelder-tent-bumps":
-        if domain is None:
-            raise ScanError("tent-bump scans need an explicit domain")
-        return _scan_tents(recipe, E_functional, F_functional, deltas, domain,
-                           seed, config)
-    if c == "smooth-scaled-bumps":
-        return _scan_smooth(recipe, E_functional, F_functional, deltas, domain,
-                            seed, config)
-    raise ScanError(f"unknown construction {c!r}")
-
-
-def _scan_unit_vectors(recipe, deltas) -> ScanSeries:
-    p, q = float(recipe.params["p"]), float(recipe.params["q"])
+    at_delta = _AT_DELTA.get(recipe.construction)
+    if at_delta is None:
+        raise ScanError(f"unknown construction {recipe.construction!r}")
+    rng = np.random.default_rng(seed)
     pts = []
     for dl in deltas:
-        n = round(1 / dl)
-        if n < 2:
-            raise DomainTooSmallError("unit-vector family needs n >= 2")
-        ones = np.ones(n)
-        rad_e = float(np.linalg.norm(ones, p))  # sign-independent
-        rad_f = float(np.linalg.norm(ones, q))
-        seq = math.sqrt(n)  # each basis vector has norm 1 in any lp
-        pts.append((float(dl), n,
-                    _ratio(recipe.mode, rad_e, seq, rad_f, seq)))
-    slope, res = _fit([math.log(n) for _, n, _ in pts],
-                      [math.log(r) for _, _, r in pts])
-    return ScanSeries(tuple(pts), slope, res, recipe.mode, "n")
+        n, ratio = at_delta(recipe, dl, E_functional, F_functional, domain,
+                            rng, config)
+        pts.append((float(dl), n, ratio))
+    log_axis = "n" if recipe.construction == "lp-unit-vectors" else "1/delta"
+    xs = [math.log(n if log_axis == "n" else 1 / dl) for dl, n, _ in pts]
+    slope, res = _fit(xs, [math.log(r) for _, _, r in pts])
+    return ScanSeries(tuple(pts), slope, res, recipe.mode, log_axis)
 
 
-def _scan_indicators(recipe, deltas) -> ScanSeries:
+def _unit_vectors_at(recipe, dl, E_functional, F_functional, domain, rng,
+                     config) -> Tuple[int, float]:
+    p, q = float(recipe.params["p"]), float(recipe.params["q"])
+    n = round(1 / dl)
+    ones = np.ones(n)
+    rad_e = float(np.linalg.norm(ones, p))  # sign-independent
+    rad_f = float(np.linalg.norm(ones, q))
+    seq = math.sqrt(n)  # each basis vector has norm 1 in any lp
+    return n, _ratio(recipe.mode, rad_e, seq, rad_f, seq)
+
+
+def _indicators_at(recipe, dl, E_functional, F_functional, domain, rng,
+                   config) -> Tuple[int, float]:
     p, q = float(recipe.params["p"]), float(recipe.params["q"])
     d = int(recipe.params["d"])
-    pts = []
-    for dl in deltas:
-        n_grid = round(1 / dl)
-        if n_grid < 2:
-            raise DomainTooSmallError("indicator partition needs >= 2 cells per axis")
-        members = indicator_partition(d, n_grid)
-        m = len(members)
-        cell_vol = n_grid ** (-d)
-        # |sum eps_i 1_{A_i}| is identically 1 on the cube for every pattern
-        rad_e = rad_f = 1.0
-        seq_e = math.sqrt(m) * cell_vol ** (1 / p)
-        seq_f = math.sqrt(m) * cell_vol ** (1 / q)
-        pts.append((float(dl), m,
-                    _ratio(recipe.mode, rad_e, seq_e, rad_f, seq_f)))
-    slope, res = _fit([math.log(1 / dl) for dl, _, _ in pts],
-                      [math.log(r) for _, _, r in pts])
-    return ScanSeries(tuple(pts), slope, res, recipe.mode, "1/delta")
+    n_grid = round(1 / dl)
+    m = n_grid ** d  # cells of the partition of the unit cube
+    cell_vol = n_grid ** (-d)
+    # |sum eps_i 1_{A_i}| is identically 1 on the cube for every pattern
+    rad_e = rad_f = 1.0
+    seq_e = math.sqrt(m) * cell_vol ** (1 / p)
+    seq_f = math.sqrt(m) * cell_vol ** (1 / q)
+    return m, _ratio(recipe.mode, rad_e, seq_e, rad_f, seq_f)
 
 
-def _tent_cloud(centers: np.ndarray, width: float, alpha: float,
-                domain: DomainSpec) -> np.ndarray:
+def _tent_cloud(centers: np.ndarray, width: float, alpha: float) -> np.ndarray:
     """Centers plus one in-support witness per bump at distance width^(1/alpha)."""
     r = width ** (1.0 / alpha)
     witness = centers.copy()
@@ -222,76 +206,62 @@ def _tent_cloud(centers: np.ndarray, width: float, alpha: float,
     return np.vstack([centers, witness])
 
 
-def _as_fraction(x) -> Fraction:
-    if hasattr(x, "numerator") and hasattr(x, "denominator"):
-        return Fraction(x.numerator, x.denominator)
-    return Fraction(x)
+def _tents_at(recipe, dl, E_functional, F_functional, domain, rng,
+              config) -> Tuple[int, float]:
+    if domain is None:
+        raise ScanError("tent-bump scans need an explicit domain")
+    alpha = recipe.params["alpha"].as_fraction()
+    # tents of height dl/3 on centers packed dl apart in d^alpha
+    fam = tent_family(domain, dl / 3, alpha)
+    n = fam.n
+    if n < 2:
+        raise DomainTooSmallError(
+            f"packing at delta={dl} yields fewer than 2 centers")
+    cloud = _tent_cloud(fam.centers, float(dl) / 3, float(alpha))
+    e_fun = replace(E_functional, points=cloud)
+    members = fam.members
+    # per-member F norm on its own center/witness pair
+    seq_f = math.sqrt(sum(
+        replace(F_functional, points=cloud[[i, n + i]])(members[i], domain,
+                                                        config) ** 2
+        for i in range(n)))
+    rad_e = rademacher_norm(members, e_fun, domain, "monte-carlo",
+                            _sign_config(n, config), seed=rng).value
+    return n, _ratio(recipe.mode, rad_e, math.nan, math.nan, seq_f)
 
 
-def _scan_tents(recipe, E_functional, F_functional, deltas, domain, seed,
-                config) -> ScanSeries:
-    alpha_frac = _as_fraction(recipe.params["alpha"])
-    alpha = float(alpha_frac)
-    pts = []
-    rng = np.random.default_rng(seed)
-    for dl in deltas:
-        packing = greedy_packing(domain, dl, alpha_frac)
-        if packing.count < 2:
-            raise DomainTooSmallError(
-                f"packing at delta={dl} yields fewer than 2 centers")
-        width = float(dl) / 3  # centers are then 3*width apart in d^alpha
-        fam = tent_family(domain, dl / 3, alpha_frac,
-                          centers=packing.centers_array())
-        n = fam.n
-        cloud = _tent_cloud(fam.centers, width, alpha, domain)
-        e_fun = replace(E_functional, points=cloud)
-        members = fam.members
-        # per-member F norm on its own center/witness pair
-        seq_f = math.sqrt(sum(
-            replace(F_functional, points=cloud[[i, n + i]])(members[i], domain,
-                                                            config) ** 2
-            for i in range(n)))
-        rad_e = rademacher_norm(members, e_fun, domain, "monte-carlo",
-                                _sign_config(n, config), seed=rng).value
-        pts.append((float(dl), n, _ratio(recipe.mode, rad_e, math.nan,
-                                         math.nan, seq_f)))
-    slope, res = _fit([math.log(1 / dl) for dl, _, _ in pts],
-                      [math.log(r) for _, _, r in pts])
-    return ScanSeries(tuple(pts), slope, res, recipe.mode, "1/delta")
-
-
-def _scan_smooth(recipe, E_functional, F_functional, deltas, domain, seed,
-                 config) -> ScanSeries:
-    from .bumps import smooth_family
+def _smooth_at(recipe, dl, E_functional, F_functional, domain, rng,
+               config) -> Tuple[int, float]:
     d = int(recipe.params["d"])
-    rng = np.random.default_rng(seed)
-    pts = []
-    for dl in deltas:
-        if recipe.params.get("unbounded"):
-            # fixed-size bumps marching along the first axis; n grows with 1/delta
-            n = round(1 / dl)
-            if n < 2:
-                raise DomainTooSmallError("unbounded-domain family needs n >= 2")
-            centers = np.zeros((n, d))
-            centers[:, 0] = 3.0 * np.arange(n)
-            members = [SmoothBumpMember(d, c, 1.0) for c in centers]
-        else:
-            fam = smooth_family(d, dl)
-            members = fam.members
-            n = len(members)
-            if n < 2:
-                raise DomainTooSmallError(
-                    f"bump packing at delta={dl} yields fewer than 2 members")
-            # the family lives on its own ball regardless of the queried
-            # domain; evaluate the norms where the bumps actually sit
-            domain = fam.domain
-        seq_e = seq_l2_norm(members, E_functional, domain, config)
-        seq_f = seq_l2_norm(members, F_functional, domain, config)
-        # only the side that _ratio reads for this mode is averaged
-        rad_fun = F_functional if recipe.mode == "type2" else E_functional
-        rad = rademacher_norm(members, rad_fun, domain, "monte-carlo",
-                              _sign_config(n, config), seed=rng).value
-        pts.append((float(dl), n, _ratio(recipe.mode, rad, seq_e, rad, seq_f)))
-    slope, res = _fit([math.log(1 / dl) for dl, _, _ in pts],
-                      [math.log(r) for _, _, r in pts])
-    return ScanSeries(tuple(pts), slope, res, recipe.mode, "1/delta")
+    if recipe.params.get("unbounded"):
+        # fixed-size bumps marching along the first axis; n grows with 1/delta
+        n = round(1 / dl)
+        centers = np.zeros((n, d))
+        centers[:, 0] = 3.0 * np.arange(n)
+        members = [SmoothBumpMember(d, c, 1.0) for c in centers]
+    else:
+        fam = smooth_family(d, dl)
+        members = fam.members
+        n = len(members)
+        if n < 2:
+            raise DomainTooSmallError(
+                f"bump packing at delta={dl} yields fewer than 2 members")
+        # the family lives on its own ball regardless of the queried
+        # domain; evaluate the norms where the bumps actually sit
+        domain = fam.domain
+    seq_e = seq_l2_norm(members, E_functional, domain, config)
+    seq_f = seq_l2_norm(members, F_functional, domain, config)
+    # only the side that _ratio reads for this mode is averaged
+    rad_fun = F_functional if recipe.mode == "type2" else E_functional
+    rad = rademacher_norm(members, rad_fun, domain, "monte-carlo",
+                          _sign_config(n, config), seed=rng).value
+    return n, _ratio(recipe.mode, rad, seq_e, rad, seq_f)
+
+
+# construction -> (recipe, delta, E, F, domain, rng, config) -> (n, ratio)
+_AT_DELTA = {
+    "lp-unit-vectors": _unit_vectors_at,
+    "Lp-indicator-partition": _indicators_at,
+    "hoelder-tent-bumps": _tents_at,
+    "smooth-scaled-bumps": _smooth_at,
+}

@@ -82,14 +82,15 @@ class TestHolderPairs:
         assert v.status != "Feasible"
 
     def test_unfittable_packing_exponent_is_undetermined(self):
-        # two points at one distance: the packing counts carry no exponent,
-        # so no packing inequality can be claimed, not even with equality
-        dom = finite_metric([[0, 1], [1, 0]])
-        for v in (decide(holder(Fraction(1, 2), dom), holder(Fraction(1, 2), dom)),
-                  decide_bounded_target(holder(Fraction(1, 2), dom))):
-            assert v.status == "Undetermined"
-            assert v.rule == "holder-packing"
-            assert "could not be fitted" in v.reason
+        # two points at one distance, or a single point with no distance at
+        # all: the packing counts carry no exponent, so no packing
+        # inequality can be claimed, not even with equality
+        for dom in (finite_metric([[0, 1], [1, 0]]), finite_metric([[0]])):
+            for v in (decide(holder(Fraction(1, 2), dom), holder(Fraction(1, 2), dom)),
+                      decide_bounded_target(holder(Fraction(1, 2), dom))):
+                assert v.status == "Undetermined"
+                assert v.rule == "holder-packing"
+                assert "could not be fitted" in v.reason
 
 
 class TestSmoothScalePairs:

@@ -7,11 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rkhs_sandwich import (NormFunctional, QuadratureConfig, cube, decide,
-                           decide_bounded_target, indicator_partition,
+from rkhs_sandwich import (NormFunctional, QuadratureConfig, ball, cube, decide,
+                           decide_bounded_target, holder, indicator_partition,
                            lebesgue_lp, rademacher_norm, scan, seq_l2_norm,
                            sequence_lp, slobodeckij, smooth_family, whole_space)
-from rkhs_sandwich.rademacher import ModeError, ScanError
+from rkhs_sandwich.rademacher import DomainTooSmallError, ModeError, ScanError
 
 FAST = QuadratureConfig(resolution=16, tolerance=1e-4)
 
@@ -134,3 +134,56 @@ class TestScan:
                           config=QuadratureConfig(resolution=16, tolerance=1e-4,
                                                   mc_samples=4))
             assert series.points == expected, recipe.mode
+
+    def test_tent_scan_points(self):
+        # recorded points: the tent family is packed from the domain at each
+        # delta and its signs come from one seeded stream, so any drift in
+        # the packing, the witness cloud or the sign stream shows here
+        cases = [
+            (Fraction(1, 2), cube(2), [Fraction(1, 2), Fraction(1, 4)],
+             ((0.5, 16, 0.6666666666666667), (0.25, 256, 1.3333333333333315))),
+            (Fraction(1, 3), cube(1), [Fraction(1, 4), Fraction(1, 8)],
+             ((0.25, 64, 0.6666666666666662), (0.125, 512, 0.9428090415820684))),
+        ]
+        for alpha, dom, deltas, expected in cases:
+            recipe = decide_bounded_target(holder(alpha, dom), "sup").obstruction
+            series = scan(recipe, NormFunctional("hoelder", holder_exponent=float(alpha)),
+                          NormFunctional("sup"), deltas, domain=dom, seed=5,
+                          config=QuadratureConfig(resolution=16, tolerance=1e-4,
+                                                  mc_samples=8))
+            assert series.points == expected, alpha
+            assert series.log_axis == "1/delta"
+
+    def test_indicator_scan_points(self):
+        # recorded points for a type-2 scan on the line and a cotype-2 scan
+        # on the square; n counts the n_grid^d cells of the partition
+        line, square = cube(1), cube(2)
+        cases = [
+            (decide(lebesgue_lp(Fraction(3, 2), line), lebesgue_lp(1, line)),
+             ((0.5, 2, 1.1224620483093728), (0.25, 4, 1.259921049894873),
+              (0.125, 8, 1.414213562373095))),
+            (decide(lebesgue_lp(4, square), lebesgue_lp(3, square)),
+             ((0.5, 4, 1.2599210498948732), (0.25, 16, 1.5874010519681996),
+              (0.125, 64, 2.0))),
+        ]
+        for verdict, expected in cases:
+            series = scan(verdict.obstruction, None, None,
+                          [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
+            assert series.points == expected, verdict.obstruction.mode
+
+    def test_domain_too_small(self):
+        # a tent packing of a tiny ball holds a single center, and the
+        # bounded smooth family fits a single bump at delta = 1/2
+        tiny = ball(1, Fraction(1, 100))
+        recipe = decide_bounded_target(holder(Fraction(1, 4), tiny), "sup").obstruction
+        with pytest.raises(DomainTooSmallError, match="fewer than 2 centers"):
+            scan(recipe, NormFunctional("hoelder", holder_exponent=0.25),
+                 NormFunctional("sup"), [Fraction(1, 2), Fraction(1, 4)],
+                 domain=tiny, seed=0)
+        square = cube(2)
+        recipe = decide(slobodeckij(Fraction(3, 2), 1, square),
+                        slobodeckij(1, 2, square)).obstruction
+        fn = NormFunctional("sup")
+        with pytest.raises(DomainTooSmallError, match="fewer than 2 members"):
+            scan(recipe, fn, fn, [Fraction(1, 2), Fraction(1, 4)], domain=square,
+                 seed=0, config=FAST)

@@ -1,9 +1,14 @@
 """JSON reports and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rkhs_sandwich
 from rkhs_sandwich.cli import main, parse_domain, parse_space
 from rkhs_sandwich.report import RULE_REGISTRY, Report
 
@@ -105,6 +110,17 @@ class TestDecideCommand:
         _, second = _run(capsys, argv)
         assert first == second
         assert json.loads(first)["schema"] == "rkhs-sandwich-report/1"
+
+
+def test_cli_runs_as_a_process():
+    # the module entry point maps the verdict to the process exit code
+    src = str(Path(rkhs_sandwich.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "rkhs_sandwich.cli", "decide",
+                           "--from", "holder:1", "--to", "sup", "--domain", "cube:3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 10, proc.stderr
+    assert json.loads(proc.stdout)["payload"]["status"] == "Infeasible"
 
 
 class TestScanCommand:
