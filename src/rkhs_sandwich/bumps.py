@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .spaces import DomainSpec, ball
 from .packing import greedy_packing
@@ -30,6 +31,9 @@ Poly = Dict[Tuple[int, ...], Fraction]  # exponent tuple -> coefficient
 # below this w = 1-|x|^2 the bump underflows anything the prefactor can
 # blow up to; treat the product as exactly 0
 _W_FLOOR = 0.004
+# relative widening of a support box's x0-range in SignedSum, far above the
+# rounding of box faces and of tent distances
+_BOX_PAD = 1e-9
 
 
 def _poly_mul_x(p: Poly, j: int, d: int) -> Poly:
@@ -220,7 +224,17 @@ class IndicatorMember:
 
 
 class SignedSum:
-    """sum_i eps_i f_i over family members with a fixed sign pattern."""
+    """sum_i eps_i f_i over family members with a fixed sign pattern.
+
+    Every member must vanish exactly (value 0.0) outside its support_box:
+    TentMember beyond radius delta^(1/alpha), SmoothBumpMember where
+    w <= _W_FLOOR, IndicatorMember outside its cell.  A call therefore
+    evaluates each member only on the points whose first coordinate lies in
+    its box (widened by _BOX_PAD against rounding), found by bisection in
+    the points sorted by x0, and adds the contributions in member order; a
+    member it skips would have added an exact 0, so the values equal the
+    sum over all members at all points, bit for bit.
+    """
 
     def __init__(self, members: Sequence, signs: Sequence[int]):
         if len(members) != len(signs):
@@ -229,16 +243,28 @@ class SignedSum:
             raise ValueError("signs must be +-1")
         self.members = list(members)
         self.signs = list(signs)
+        self._boxes = [m.support_box for m in self.members]
+        lo0 = np.array([lo[0] for lo, _ in self._boxes], dtype=float)
+        hi0 = np.array([hi[0] for _, hi in self._boxes], dtype=float)
+        pad = _BOX_PAD * (np.abs(lo0) + np.abs(hi0))
+        self._x0_range = (lo0 - pad, hi0 + pad)
 
     @property
     def support_boxes(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        return [m.support_box for m in self.members]
+        return list(self._boxes)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros(len(X))
-        for s, m in zip(self.signs, self.members):
-            out += s * m(X)
+        order = np.argsort(X[:, 0], kind="stable")
+        Xs = X[order]
+        starts = np.searchsorted(Xs[:, 0], self._x0_range[0], side="left")
+        stops = np.searchsorted(Xs[:, 0], self._x0_range[1], side="right")
+        acc = np.zeros(len(X))
+        for s, m, a, b in zip(self.signs, self.members, starts, stops):
+            if a < b:
+                acc[a:b] += s * m(Xs[a:b])
+        out = np.empty(len(X))
+        out[order] = acc
         return out
 
     def derivative(self, alpha: Sequence[int]) -> "SignedSum":
@@ -264,15 +290,14 @@ class BumpFamily:
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if not 0 < self.delta <= 0.5:
             raise ValueError("delta must lie in (0, 1/2]")
-        n = len(self.centers)
+        if len(self.centers) < 2:
+            return
         metric_pow = 1.0 if self.reference == "smooth" else self.tent_alpha
-        for start in range(0, n, 512):
-            blk = self.centers[start:start + 512]
-            dist = np.linalg.norm(blk[:, None, :] - self.centers[None, :, :], axis=2)
-            dist[np.arange(len(blk))[:, None] == np.arange(n)[None, :] - start] = np.inf
-            if float(np.min(dist)) ** metric_pow < 3 * self.delta - 1e-12:
-                raise ValueError("some centers are closer than 3*delta in the "
-                                 "family metric")
+        # distance from each center to its nearest other center
+        nearest = cKDTree(self.centers).query(self.centers, k=2)[0][:, 1]
+        if float(np.min(nearest)) ** metric_pow < 3 * self.delta - 1e-12:
+            raise ValueError("some centers are closer than 3*delta in the "
+                             "family metric")
 
     @property
     def n(self) -> int:

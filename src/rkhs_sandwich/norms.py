@@ -7,7 +7,11 @@ Three numerical strategies, chosen per norm:
     the diagonal band refined recursively and the residual band bounded by a
     local-Lipschitz tail integral that is added as an explicit correction.
   * Hoelder norms: a certified lower bound over a finite point cloud (every
-    reported quotient is attained by a concrete pair).
+    reported quotient is attained by a concrete pair).  A k-d tree selects
+    the pairs: a pair at distance >= r has quotient <= 2 sup|g| / r^alpha,
+    so only pairs closer than the r at which that bound meets the best
+    quotient already found are examined, and the result equals the maximum
+    over all pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 from scipy.special import gamma as gamma_fn
 
 from .spaces import DomainSpec
@@ -181,8 +186,13 @@ def lp_norm(fn, p: float, domain: DomainSpec,
 # each support box
 _CLOUD_PER_AXIS = 9
 _CLOUD_LOCAL = 5
-# active points per block of the pairwise Hoelder quotient matrix
-_HOELDER_CHUNK = 512
+# nearest neighbours per active point whose quotients seed the pruning radius
+_HOELDER_NEIGHBOURS = 8
+# relative slack on the pruning bound, far above the rounding of the radius
+# and of the tree's distances
+_PRUNE_MARGIN = 1e-6
+# candidate pairs examined per block (bounds memory when the radius is large)
+_PAIRS_PER_BLOCK = 1 << 20
 
 
 def default_point_cloud(fn, domain: DomainSpec) -> np.ndarray:
@@ -219,23 +229,54 @@ def hoelder_norm(fn, alpha: float, points: np.ndarray) -> float:
     """max(sup |g|, max pair quotient |g(x)-g(y)| / |x-y|^alpha) over the cloud.
 
     Certified lower bound for the true norm: every term is attained.  Pairs
-    where both values vanish contribute 0 and are skipped exactly.
+    where both values vanish contribute 0 and are skipped exactly, and so
+    are coincident points.
+
+    Only pairs that can beat the running best are examined.  best starts at
+    sup |g| and the quotients to each active point's nearest neighbours; a
+    pair at distance >= r has quotient <= 2 sup|g| / r^alpha, which is at
+    most best for r = (2 sup|g| / best)^(1/alpha).  The pairs within that
+    radius (widened by _PRUNE_MARGIN against rounding) come from a k-d tree,
+    and their quotients are computed exactly as a dense pass would compute
+    them, so the result equals the maximum over all pairs bit for bit.
     """
     if not 0 < alpha <= 1:
         raise NormError("Hoelder exponent must lie in (0, 1]")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(fn(points), dtype=float)
-    best = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    sup = float(np.max(np.abs(vals))) if len(vals) else 0.0
     active = np.flatnonzero(vals != 0.0)
-    for start in range(0, len(active), _HOELDER_CHUNK):
-        idx = active[start:start + _HOELDER_CHUNK]
-        diff = points[idx][:, None, :] - points[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        # coincident points (including i == j) contribute nothing
-        dist[dist == 0.0] = np.inf
-        quot = np.abs(vals[idx][:, None] - vals[None, :]) / dist ** alpha
-        best = max(best, float(np.max(quot)))
+    if not len(active):
+        return sup
+    tree = cKDTree(points)
+    k = min(_HOELDER_NEIGHBOURS + 1, len(points))  # the point itself is one
+    near = tree.query(points[active], k=k)[1].reshape(-1)
+    best = max(sup, _max_quotient(points, vals, np.repeat(active, k), near,
+                                  alpha))
+    ratio = 2.0 * sup / best * (1.0 + _PRUNE_MARGIN)
+    # ratio ** (1/alpha) overflows beyond e^709; every pair is then in range
+    radius = ratio ** (1.0 / alpha) if math.log(ratio) < 700.0 * alpha \
+        else math.inf
+    step = max(1, _PAIRS_PER_BLOCK // len(points))
+    for start in range(0, len(active), step):
+        idx = active[start:start + step]
+        pairs = cKDTree(points[idx]).sparse_distance_matrix(
+            tree, radius, output_type="ndarray")
+        best = max(best, _max_quotient(points, vals, idx[pairs["i"]],
+                                       pairs["j"], alpha))
     return best
+
+
+def _max_quotient(points: np.ndarray, vals: np.ndarray, i: np.ndarray,
+                  j: np.ndarray, alpha: float) -> float:
+    """Largest |g(x_i)-g(x_j)| / |x_i-x_j|^alpha over the index pairs (i, j),
+    0.0 for no pairs."""
+    diff = np.take(points, i, axis=0) - np.take(points, j, axis=0)
+    dist = np.linalg.norm(diff, axis=1)
+    # coincident points (including i == j) contribute nothing
+    dist[dist == 0.0] = np.inf
+    quot = np.abs(np.take(vals, i) - np.take(vals, j)) / dist ** alpha
+    return float(np.max(quot)) if len(quot) else 0.0
 
 
 # -- Slobodeckij -------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Candidate points live on an integer lattice (coordinates are integer
 multiples of a common denominator), so the pairwise >= delta constraint in
-the power metric d^alpha is an exact integer comparison even though the
-elimination loop runs vectorized over floats-free int64 arrays.
+the power metric d^alpha is an exact integer comparison: the greedy
+elimination clears a ball stencil of integer offsets, computed once, from
+a boolean grid of the candidates.
 """
 
 from __future__ import annotations
@@ -85,29 +86,37 @@ def _grid_denominator(delta: Fraction, alpha: Fraction) -> int:
 def _lattice_greedy(pts: np.ndarray, min_sq: int) -> np.ndarray:
     """Greedy insertion in lexicographic order; returns indices of centers.
 
-    Points are sorted by (x0, x1, ...), so candidates conflicting with a
-    chosen center lie in a contiguous x0-window, which keeps the elimination
-    pass local.
+    The candidates are laid on their dense bounding grid, whose C order is
+    the lexicographic order of (x0, x1, ...).  A chosen center removes every
+    cell within squared distance < min_sq at once, by subtracting the
+    precomputed ball stencil {o : |o|^2 < min_sq} from the grid around it,
+    so the loop runs once per chosen center: it finds the next cell still
+    alive, takes it and clears its stencil.
     """
-    order = np.lexsort(pts.T[::-1])  # sort by x0, then x1, ...
-    pts = pts[order]
-    n = len(pts)
-    x0 = pts[:, 0]
-    window = math.isqrt(max(0, min_sq - 1))  # kill needs sq < min_sq
-    alive = np.ones(n, dtype=bool)
+    origin = pts.min(axis=0)
+    cells = tuple(pts.max(axis=0) - origin + 1)
+    index = np.full(cells, -1, dtype=np.int64)
+    index[tuple((pts - origin).T)] = np.arange(len(pts))
+    alive = index >= 0
+    flat = alive.reshape(-1)  # a view: clearing the grid clears flat
+    w = math.isqrt(max(0, min_sq - 1))  # a conflict needs |o|^2 < min_sq
+    axis = np.arange(-w, w + 1) ** 2
+    sq = sum(np.ix_(*([axis] * pts.shape[1])))
+    keep = sq >= min_sq  # the complement of the stencil, centered at w
     chosen: List[int] = []
-    i = 0
-    while i < n:
-        if not alive[i]:
-            i += 1
-            continue
-        chosen.append(order[i])
-        lo = np.searchsorted(x0, pts[i, 0] - window, side="left")
-        hi = np.searchsorted(x0, pts[i, 0] + window, side="right")
-        diff = pts[lo:hi] - pts[i]
-        sq = (diff * diff).sum(axis=1)
-        alive[lo:hi] &= sq >= min_sq
-        i += 1
+    cur = 0
+    while cur < flat.size:
+        cur += int(np.argmax(flat[cur:]))  # first alive cell at or after cur
+        if not flat[cur]:
+            break
+        cell = np.unravel_index(cur, cells)
+        chosen.append(int(index[cell]))
+        grid_sl, stencil_sl = [], []
+        for c, size in zip(cell, cells):
+            lo, hi = max(c - w, 0), min(c + w + 1, size)
+            grid_sl.append(slice(lo, hi))
+            stencil_sl.append(slice(lo - c + w, hi - c + w))
+        alive[tuple(grid_sl)] &= keep[tuple(stencil_sl)]
     return np.array(chosen, dtype=np.int64)
 
 

@@ -8,7 +8,9 @@ import pytest
 from rkhs_sandwich import (BumpFamily, SignedSum, SmoothBump, TentMember,
                            ball, cube, eval_bump, eval_bump_derivative,
                            indicator_partition, smooth_family, tent_family)
-from rkhs_sandwich.bumps import SmoothBumpMember, reference_bump
+from rkhs_sandwich import greedy_packing
+from rkhs_sandwich.bumps import (IndicatorMember, SmoothBumpMember,
+                                 reference_bump)
 
 
 class TestReferenceBump:
@@ -150,3 +152,128 @@ class TestScalingIdentity:
         x = np.array([[0.2]])
         expected = eval_bump_derivative((1,), [0.4]) / 0.5
         assert dm(x)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def _member_loop(h, X):
+    """Every member at every point, added in member order: the oracle for
+    SignedSum's sorted-slice evaluation."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.zeros(len(X))
+    for s, m in zip(h.signs, h.members):
+        out += s * m(X)
+    return out
+
+
+def _face_points(members, rng, per_member=4):
+    """Points exactly on the faces of each member's support box, plus
+    random points near it."""
+    pts = []
+    for m in members:
+        lo, hi = m.support_box
+        for face in (lo, hi):
+            for k in range(len(lo)):
+                p = rng.uniform(lo, hi)
+                p[k] = face[k]
+                pts.append(p)
+        pts.extend(rng.uniform(lo - 0.1, hi + 0.1, size=(per_member, len(lo))))
+    return np.array(pts)
+
+
+def _random_members(kind, d, rng, m):
+    """m members of one kind with random centers and widths, so that their
+    supports overlap."""
+    if kind == "tent":
+        return [TentMember(rng.uniform(0, 1, d), rng.uniform(0.05, 0.3),
+                           rng.uniform(0.3, 1.0)) for _ in range(m)]
+    if kind == "smooth":
+        return [SmoothBumpMember(d, rng.uniform(0, 1, d), rng.uniform(0.05, 0.4))
+                for _ in range(m)]
+    lo = rng.uniform(0, 1, size=(m, d))
+    return [IndicatorMember(a, a + rng.uniform(0.05, 0.5, d)) for a in lo]
+
+
+def _assert_bitwise(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSignedSumSlices:
+    """SignedSum evaluates each member near its support only, and gives the
+    member loop's values bit for bit."""
+
+    @pytest.mark.parametrize("fam", [
+        tent_family(cube(2), 1 / 12, 1 / 2),
+        tent_family(cube(3), 1 / 24, 1),
+        smooth_family(2, 1 / 16),
+    ], ids=["tent-2d", "tent-3d", "smooth-2d"])
+    def test_families(self, fam):
+        rng = np.random.default_rng(1)
+        h = fam.signed_sum([int(s) for s in rng.choice((1, -1), size=fam.n)])
+        X = np.vstack([_face_points(h.members, rng),
+                       rng.uniform(-1, 1, size=(500, fam.dimension))])
+        _assert_bitwise(h(X), _member_loop(h, X))
+        if fam.reference == "smooth":
+            dh = h.derivative((1, 0))
+            _assert_bitwise(dh(X), _member_loop(dh, X))
+
+    @pytest.mark.parametrize("kind", ["tent", "smooth", "indicator"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overlapping_supports(self, kind, d):
+        rng = np.random.default_rng(10 * d + len(kind))
+        members = _random_members(kind, d, rng, 12)
+        h = SignedSum(members, [int(s) for s in rng.choice((1, -1), size=12)])
+        X = np.vstack([_face_points(members, rng),
+                       rng.uniform(-0.2, 1.5, size=(200, d))])
+        _assert_bitwise(h(X), _member_loop(h, X))
+
+    def test_cancelling_signs(self):
+        # the same tent with opposite signs sums to an exact +0.0
+        t = TentMember(np.array([0.5]), 0.25, 1.0)
+        h = SignedSum([t, t], [-1, 1])
+        X = np.linspace(0, 1, 41).reshape(-1, 1)
+        _assert_bitwise(h(X), _member_loop(h, X))
+        assert not np.signbit(h(X)).any()
+
+    def test_empty_points(self):
+        fam = tent_family(cube(2), 1 / 12, 1 / 2)
+        h = fam.all_plus()
+        X = np.empty((0, 2))
+        _assert_bitwise(h(X), _member_loop(h, X))
+        assert h(X).shape == (0,)
+
+    def test_unsorted_points_keep_their_order(self):
+        members = _random_members("tent", 2, np.random.default_rng(4), 6)
+        h = SignedSum(members, [1, -1, 1, -1, 1, -1])
+        X = np.random.default_rng(5).uniform(0, 1, size=(300, 2))
+        X[::7, 0] = 0.5  # ties in x0
+        _assert_bitwise(h(X), _member_loop(h, X))
+
+
+class TestFamilySeparation:
+    def test_too_close_tent_pair(self):
+        # |0.15 - 0.1|^(1/2) = 0.22 < 3 * 0.1
+        with pytest.raises(ValueError, match="closer than 3"):
+            BumpFamily("hoelder-tent", 0.1, np.array([[0.1], [0.15]]), cube(1),
+                       tent_alpha=0.5)
+        BumpFamily("hoelder-tent", 0.1, np.array([[0.1], [0.2]]), cube(1),
+                   tent_alpha=0.5)
+
+    def test_one_too_close_smooth_pair_among_many(self):
+        centers = greedy_packing(ball(2), 3 * 0.0625).centers_array()
+        BumpFamily("smooth", 0.0625, centers, ball(2))
+        moved = np.vstack([centers, centers[-1] + [0.1, 0.0]])
+        with pytest.raises(ValueError, match="closer than 3"):
+            BumpFamily("smooth", 0.0625, moved, ball(2))
+
+    def test_coincident_centers(self):
+        with pytest.raises(ValueError, match="closer than 3"):
+            BumpFamily("smooth", 0.25, np.array([[0.0], [1.0], [0.0]]), ball(1, 2))
+
+    def test_greedy_packings_are_accepted(self):
+        # both build a BumpFamily from a greedy packing
+        assert tent_family(cube(3), 1 / 24, 1).n == 704
+        assert smooth_family(2, 1 / 16).n > 1
+
+    def test_fewer_than_two_centers(self):
+        BumpFamily("smooth", 0.25, np.array([[0.3]]), ball(1))
+        BumpFamily("smooth", 0.25, np.empty((0, 1)), ball(1))

@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rkhs_sandwich import norms
 from rkhs_sandwich import (DivergenceError, NormFunctional, QuadratureConfig,
                            ball, cube, hoelder_norm, lp_norm, radial_integral,
                            slobodeckij_norm, slobodeckij_seminorm,
                            unit_ball_volume)
-from rkhs_sandwich.bumps import SmoothBumpMember, TentMember, smooth_family
+from rkhs_sandwich.bumps import (SignedSum, SmoothBumpMember, TentMember,
+                                 smooth_family, tent_family)
 from rkhs_sandwich.norms import AccuracyError, default_point_cloud
 
 TIGHT = QuadratureConfig(tolerance=1e-6)
@@ -90,6 +94,102 @@ class TestHoelderNorm:
         m = SmoothBumpMember(1, np.array([0.3]), 0.1)
         cloud = default_point_cloud(m, cube(1))
         assert np.any(np.isclose(cloud[:, 0], 0.3))
+
+
+def _dense_hoelder(fn, alpha, points):
+    """Every pair of the cloud, in blocks of 512 active points: the oracle
+    for the pruned pair search."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    vals = np.asarray(fn(points), dtype=float)
+    best = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    active = np.flatnonzero(vals != 0.0)
+    for start in range(0, len(active), 512):
+        idx = active[start:start + 512]
+        diff = points[idx][:, None, :] - points[None, :, :]
+        dist = np.linalg.norm(diff, axis=2)
+        dist[dist == 0.0] = np.inf
+        quot = np.abs(vals[idx][:, None] - vals[None, :]) / dist ** alpha
+        best = max(best, float(np.max(quot)))
+    return best
+
+
+def _clusters(rng, d, m):
+    """m tight clusters of 10 points each at random places, with one value
+    per cluster.  Each point's 8 nearest neighbours lie in its own cluster,
+    so the largest quotient is found only across clusters, up to the edge of
+    the pruning radius."""
+    centers = rng.uniform(0.0, 4.0, size=(m, d))
+    pts = np.repeat(centers, 10, axis=0) + rng.uniform(0.0, 1e-3, (10 * m, d))
+    vals = np.repeat(rng.normal(size=m), 10)
+    return pts, lambda X: vals
+
+
+@st.composite
+def _cloud_and_fn(draw):
+    """A random cloud in d = 1, 2, 3 (possibly one point, possibly with
+    coincident points) and a function of one of five kinds on it."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    pts = rng.uniform(0.0, 1.0, size=(n, d))
+    copies = draw(st.integers(0, 5))
+    pts = np.vstack([pts, pts[rng.integers(0, n, size=copies)]])
+    kind = draw(st.sampled_from(["zero", "constant", "tents", "slow", "random",
+                                 "clusters"]))
+    if kind == "clusters":
+        return _clusters(rng, d, draw(st.integers(2, 4)))
+    if kind == "zero":
+        return pts, lambda X: np.zeros(len(X))
+    if kind == "constant":
+        c = rng.normal()
+        return pts, lambda X: np.full(len(X), c)
+    if kind == "tents":
+        m = int(rng.integers(1, 6))
+        members = [TentMember(rng.uniform(0.0, 1.0, size=d),
+                              rng.uniform(0.05, 0.5), rng.uniform(0.2, 1.0))
+                   for _ in range(m)]
+        return pts, SignedSum(members, [int(s) for s in
+                                        rng.choice((1, -1), size=m)])
+    if kind == "slow":
+        # a large offset and a small slope: the pruning radius covers the
+        # whole cloud
+        a, c = rng.normal(size=d) * 1e-3, 5.0 + rng.uniform()
+        return pts, lambda X: c + X @ a
+    vals = rng.normal(size=len(pts)) * (rng.uniform(size=len(pts)) < 0.7)
+    return pts, lambda X: vals
+
+
+class TestHoelderPruning:
+    """The pruned pair search returns the dense maximum, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cloud_and_fn(),
+           st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
+                     st.floats(min_value=0.0, max_value=1.0, exclude_min=True)))
+    def test_equals_dense_maximum(self, cloud_fn, alpha):
+        pts, fn = cloud_fn
+        assert hoelder_norm(fn, alpha, pts) == _dense_hoelder(fn, alpha, pts)
+
+    def test_blocks_cover_every_active_point(self, monkeypatch):
+        # the first block's points lie far from the two clusters whose pair
+        # gives the maximum, so only a later block finds it
+        far = np.full((10, 2), 5.0) + np.linspace(0, 1e-3, 10)[:, None]
+        pts = np.vstack([far, np.zeros((10, 2)), np.ones((10, 2))]) + \
+            np.random.default_rng(3).uniform(0.0, 1e-3, size=(30, 2))
+        vals = np.repeat([1e-3, 1.0, -1.0], 10)
+        monkeypatch.setattr(norms, "_PAIRS_PER_BLOCK", 300)  # 10 per block
+        g = lambda X: vals
+        assert hoelder_norm(g, 1.0, pts) == _dense_hoelder(g, 1.0, pts)
+        assert hoelder_norm(g, 1.0, pts) > 1.0
+
+    def test_tent_scan_cloud(self):
+        # the cloud and signed sum of the 3-D tent scan at delta = 1/8
+        from rkhs_sandwich.rademacher import _tent_cloud
+        fam = tent_family(cube(3), Fraction(1, 24), 1)
+        cloud = _tent_cloud(fam.centers, 1 / 24, 1.0)
+        signs = np.random.default_rng(7).choice((1, -1), size=fam.n)
+        h = fam.signed_sum([int(s) for s in signs])
+        assert hoelder_norm(h, 1.0, cloud) == _dense_hoelder(h, 1.0, cloud)
 
 
 def _linear_seminorm(theta: float, p: float) -> float:

@@ -2,12 +2,13 @@
 brute-force oracle and the exponent fit."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rkhs_sandwich import (brute_force_packing, cube, exponent_fit,
+from rkhs_sandwich import (ball, brute_force_packing, cube, exponent_fit,
                            greedy_packing, packing)
 from rkhs_sandwich.packing import DegenerateFitError, PackingError
 from rkhs_sandwich.spaces import finite_metric
@@ -120,6 +121,49 @@ def test_greedy_packing_is_separated_and_maximal(dom, delta, alpha):
     # a center is near only itself; every candidate is near some center
     assert (near[is_center.any(axis=1)].sum(axis=1) == 1).all()
     assert near.any(axis=1).all()
+
+
+def _candidate_loop(pts, min_sq):
+    """One step per candidate in lexicographic order, eliminating within an
+    x0-window: the oracle for the stencil greedy."""
+    order = np.lexsort(pts.T[::-1])
+    pts = pts[order]
+    x0 = pts[:, 0]
+    window = math.isqrt(max(0, min_sq - 1))
+    alive = np.ones(len(pts), dtype=bool)
+    chosen = []
+    for i in range(len(pts)):
+        if not alive[i]:
+            continue
+        chosen.append(order[i])
+        lo = np.searchsorted(x0, pts[i, 0] - window, side="left")
+        hi = np.searchsorted(x0, pts[i, 0] + window, side="right")
+        diff = pts[lo:hi] - pts[i]
+        alive[lo:hi] &= (diff * diff).sum(axis=1) >= min_sq
+    return np.array(chosen, dtype=np.int64)
+
+
+@pytest.mark.parametrize("dom,delta,alpha", [
+    (cube(1), Fraction(1, 16), Fraction(1)),
+    (cube(2), Fraction(1, 16), Fraction(1)),
+    (cube(3), Fraction(1, 8), Fraction(1)),
+    (ball(2), Fraction(1, 8), Fraction(1)),
+    (ball(3), Fraction(1, 4), Fraction(1)),
+    (ball(2, Fraction(1, 2)), Fraction(1, 8), Fraction(1)),
+    (cube(1), Fraction(1, 4), Fraction(1, 3)),
+    (cube(2), Fraction(1, 8), Fraction(1, 2)),
+    (cube(3), Fraction(1, 3), Fraction(2, 3)),
+    (ball(2), Fraction(1, 4), Fraction(3, 4)),
+])
+def test_stencil_greedy_matches_candidate_loop(dom, delta, alpha):
+    pts, den = packing._candidates_for(dom, delta, alpha, None)
+    min_sq = packing._min_sq_lattice(delta, alpha, den)
+    want = _candidate_loop(pts, min_sq)
+    assert np.array_equal(packing._lattice_greedy(pts, min_sq), want)
+    # the indices refer to the caller's order of the candidates
+    perm = np.random.default_rng(0).permutation(len(pts))
+    got = packing._lattice_greedy(pts[perm], min_sq)
+    assert np.array_equal(perm[got], want)
 
 
 class TestExponentFit:
