@@ -9,7 +9,8 @@ from .spaces import (CoherentSet, DomainSpec, SpaceSpec, ball, besov,
                      finite_metric, holder, lebesgue_lp, mixed_sobolev,
                      sequence_lp, slobodeckij, sobolev, sup_space,
                      triebel_lizorkin, validate_space, whole_space)
-from .embeddings import EmbedVerdict, chain_holds, embeds, rewrite_identifications
+from .embeddings import (RULES, EmbedVerdict, chain_holds, embeds,
+                         rewrite_identifications)
 from .decider import (BORDERLINE, FEASIBLE, INFEASIBLE, STATUS_EXIT_CODES,
                       UNDETERMINED, UInterval, Verdict, WitnessChain,
                       admissible_u_interval, decide, decide_bounded_target)
@@ -25,4 +26,4 @@ from .rademacher import (RademacherEstimate, ScanSeries, rademacher_norm, scan,
                          seq_l2_norm)
 from .irkbs import (DecompositionReport, SeriesSpec, check_applicability,
                     cosine_series, radius_lower_bound, split_series)
-from .report import RULE_REGISTRY, Report
+from .report import Report

@@ -2,8 +2,9 @@
 
 Space syntax is family:param:param with rationals as a/b and `inf` for
 infinity, e.g. `lp:3/2`, `slobo:11/5:2`, `besov:2:4:inf`.  Domains are
-`cube:d`, `ball:d[:radius]`, `space:d`, or `seq`.  Exit codes for decide:
-0 Feasible, 10 Infeasible, 11 Borderline, 12 Undetermined; usage errors 64.
+`cube:d`, `ball:d[:radius]`, `space:d`, or `seq`.  Exit codes: 0 success
+(Feasible), 10 Infeasible, 11 Borderline, 12 Undetermined; usage errors and
+refusals 64.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
-from .decider import STATUS_EXIT_CODES, decide, decide_bounded_target
+from .decider import STATUS_EXIT_CODES, decide
 from .irkbs import SeriesSpec, check_applicability, cosine_series, split_series
 from .norms import DEFAULT_CONFIG, NormFunctional, QuadratureConfig
 from .packing import brute_force_packing, exponent_fit, greedy_packing
 from .rademacher import scan
 from .report import Report
-from .spaces import (DomainSpec, SpaceSpec, ball, besov, c_infinity,
+from .spaces import (CoherentSet, DomainSpec, SpaceSpec, ball, besov, c_infinity,
                      coherent_closure, continuous_bounded, cube, holder,
                      lebesgue_lp, mixed_sobolev, sequence_lp, slobodeckij,
                      sobolev, sup_space, triebel_lizorkin, whole_space)
@@ -70,52 +71,44 @@ def parse_domain(text: str) -> DomainSpec:
     return ball(d, radius)
 
 
-# parameters after the family name, per family
-_ARITY = {"lp": 1, "lebesgue": 1, "holder": 1, "sobolev": 2, "slobo": 2,
-          "besov": 3, "tl": 3, "mixsob": 2, "sup": 0, "c0": 0, "cinf": 0}
+def _parse_indices(text: str) -> CoherentSet:
+    """Multi-indices a1,a2;b1,b2;... closed downward into a coherent set."""
+    idx = [tuple(int(c) for c in grp.split(",")) for grp in text.split(";")]
+    return coherent_closure(idx, len(idx[0]))
+
+
+_N = _parse_number
+# family -> (one parser per parameter, constructor); the constructor takes
+# the parsed parameters and then the domain, except for lp
+_SPACES = {
+    "lp": ((_N,), sequence_lp),
+    "lebesgue": ((_N,), lebesgue_lp),
+    "holder": ((_N,), holder),
+    "sobolev": ((_N, _N), sobolev),
+    "slobo": ((_N, _N), slobodeckij),
+    "besov": ((_N, _N, _N), besov),
+    "tl": ((_N, _N, _N), triebel_lizorkin),
+    "mixsob": ((_N, _parse_indices), lambda p, idx, dom: mixed_sobolev(idx, p, dom)),
+    "sup": ((), sup_space),
+    "c0": ((), continuous_bounded),
+    "cinf": ((), c_infinity),
+}
 
 
 def parse_space(text: str, domain: Optional[DomainSpec]) -> SpaceSpec:
-    parts = text.split(":")
-    fam = parts[0]
-    if fam not in _ARITY:
+    fam, *params = text.split(":")
+    if fam not in _SPACES:
         raise ValueError(f"unknown space family {fam!r}")
-    if len(parts) - 1 != _ARITY[fam]:
-        raise ValueError(f"space family {fam!r} takes {_ARITY[fam]} "
-                         f"parameter(s), got {len(parts) - 1} in {text!r}")
-    # mixsob carries a multi-index block that is not a plain number
-    args = [] if fam == "mixsob" else [_parse_number(p) for p in parts[1:]]
-
-    def dom() -> DomainSpec:
-        if domain is None:
-            raise ValueError(f"space {text!r} needs --domain")
-        return domain
-
-    if fam == "lp":
-        return sequence_lp(args[0])
-    if fam == "lebesgue":
-        return lebesgue_lp(args[0], dom())
-    if fam == "holder":
-        return holder(args[0], dom())
-    if fam == "sobolev":
-        return sobolev(args[0], args[1], dom())
-    if fam == "slobo":
-        return slobodeckij(args[0], args[1], dom())
-    if fam == "besov":
-        return besov(args[0], args[1], args[2], dom())
-    if fam == "tl":
-        return triebel_lizorkin(args[0], args[1], args[2], dom())
-    if fam == "mixsob":
-        # mixsob:p:a1,a2;b1,b2;...  multi-indices separated by ';'
-        p = _parse_number(parts[1])
-        idx = [tuple(int(c) for c in grp.split(",")) for grp in parts[2].split(";")]
-        closed = coherent_closure(idx, len(idx[0]))
-        return mixed_sobolev(closed, p, dom())
-    if fam == "sup":
-        return sup_space(dom())
-    if fam == "c0":
-        return continuous_bounded(dom())
-    return c_infinity(dom())  # cinf
+    parsers, make = _SPACES[fam]
+    if len(params) != len(parsers):
+        raise ValueError(f"space family {fam!r} takes {len(parsers)} "
+                         f"parameter(s), got {len(params)} in {text!r}")
+    args = [parse(p) for parse, p in zip(parsers, params)]
+    if fam == "lp":  # sequence spaces live on the index set
+        return make(*args)
+    if domain is None:
+        raise ValueError(f"space {text!r} needs --domain")
+    return make(*args, domain)
 
 
 def _quadrature_from(args) -> QuadratureConfig:
@@ -144,16 +137,12 @@ def _verdict_payload(verdict) -> dict:
     return payload
 
 
-# --to values decided against the bounded functions instead of a space
-_BOUNDED_TARGETS = {"sup": "sup", "c0": "continuous-bounded"}
-
-
 def _decide_pair(args, domain: Optional[DomainSpec]):
-    """Parse --from/--to and decide the pair."""
+    """Parse --from/--to and decide the pair.  The bounded functions (sup,
+    c0) are taken on the source's own domain, so they need no --domain."""
     E = parse_space(args.source, domain)
-    if args.to in _BOUNDED_TARGETS:
-        return decide_bounded_target(E, _BOUNDED_TARGETS[args.to])
-    return decide(E, parse_space(args.to, domain))
+    return decide(E, parse_space(args.to, E.domain if args.to in ("sup", "c0")
+                                 else domain))
 
 
 def cmd_decide(args) -> int:
@@ -162,8 +151,7 @@ def cmd_decide(args) -> int:
     report = Report.build("decide",
                           {"from": args.source, "to": args.to,
                            "domain": args.domain},
-                          _verdict_payload(verdict),
-                          rules=[verdict.rule] if verdict.rule else [])
+                          _verdict_payload(verdict), rules=[verdict.rule])
     print(report.to_json(), end="")
     return STATUS_EXIT_CODES[verdict.status]
 
@@ -172,9 +160,8 @@ def cmd_scan(args) -> int:
     domain = parse_domain(args.domain) if args.domain else None
     verdict = _decide_pair(args, domain)
     if verdict.obstruction is None:
-        print(f"error: verdict is {verdict.status}; scans need an Infeasible "
-              "pair with an obstruction recipe", file=sys.stderr)
-        return 2
+        raise ValueError(f"verdict is {verdict.status}; scans need an Infeasible "
+                         "pair with an obstruction recipe")
     deltas = [_parse_fraction(x) for x in args.deltas.split(",")]
     config = _quadrature_from(args)
     e_fun, f_fun = _scan_functionals(verdict.obstruction)
@@ -213,8 +200,7 @@ def _scan_functionals(recipe):
 def cmd_table(args) -> int:
     values = [_parse_number(v) for v in args.values.split(",")]
     if len(values) ** 2 > 10_000:
-        print("error: refusing a table with more than 10^4 cells", file=sys.stderr)
-        return 2
+        raise ValueError("refusing a table with more than 10^4 cells")
     domain = parse_domain(args.domain) if args.domain else None
     cells = []
     for a, b in itertools.product(values, repeat=2):
@@ -342,9 +328,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built once: parse_args keeps no state between calls
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

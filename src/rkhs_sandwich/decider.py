@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import embeddings as emb
-from .spaces import (DomainSpec, SpaceSpec, lebesgue_lp, sequence_lp,
-                     slobodeckij, triebel_lizorkin)
+from .spaces import (BOUNDED_TARGETS, DomainSpec, SpaceSpec, lebesgue_lp,
+                     sequence_lp, slobodeckij, triebel_lizorkin)
 from .xrational import INF, ExtRational, pos_part, deficiency, xr
 
 FEASIBLE = "Feasible"
@@ -72,8 +72,7 @@ class UInterval:
 
 @dataclass(frozen=True)
 class WitnessChain:
-    links: Tuple[SpaceSpec, ...]
-    hilbert_index: int
+    links: Tuple[SpaceSpec, ...]  # the Hilbert space is links[1]
     u_interval: Optional[UInterval] = None
 
     def replay(self) -> bool:
@@ -116,6 +115,7 @@ class Verdict:
     reason: Optional[str] = None
 
     def __post_init__(self):
+        emb.cite(self.rule)
         if self.status == FEASIBLE:
             if self.witness is None:
                 raise ValueError("Feasible verdicts must carry a witness chain")
@@ -128,17 +128,8 @@ class Verdict:
 _SMOOTH_SCALE = ("besov", "triebel-lizorkin", "slobodeckij", "sobolev", "holder")
 
 
-def _hilbert_link(u: ExtRational, like: SpaceSpec) -> SpaceSpec:
-    """The W^u_2 intermediate space, expressed in the scale of the endpoints."""
-    if like.family == "slobodeckij":
-        return slobodeckij(u, 2, like.domain)
-    return triebel_lizorkin(u, 2, 2, like.domain)
-
-
-def _threshold_interval(E: SpaceSpec, F: SpaceSpec, closed: bool) -> UInterval:
-    d = xr(E.domain.dimension)
-    s, p1 = E.s, E.p
-    t, p2 = F.s, F.p
+def _threshold_interval(s, t, p1, p2, d: int, closed: bool) -> UInterval:
+    d = xr(d)
     lo = t + pos_part(d / 2 - d / p2)
     hi = s - pos_part(d / p1 - d / 2)
     if closed:
@@ -166,13 +157,23 @@ def _smooth_obstruction(s, t, p1, p2, d: int, construction: str,
                              params={"s": s, "t": t, "p1": p1, "p2": p2, "d": d})
 
 
-def _feasible_smooth(E: SpaceSpec, F: SpaceSpec, rule: str,
-                     closed: bool) -> Verdict:
-    interval = _threshold_interval(E, F, closed)
-    u = interval.midpoint()
-    chain = (E, _hilbert_link(u, E), F)
-    witness = WitnessChain(chain, hilbert_index=1, u_interval=interval)
-    return Verdict(FEASIBLE, rule, witness=witness)
+def _feasible_smooth(E: SpaceSpec, F: SpaceSpec, rule: str, interval: UInterval,
+                     slobo: bool = False) -> Verdict:
+    """E -> W^u_2 -> F at the midpoint u of the interval, with W^u_2 written
+    on the Slobodeckij scale or else on the Triebel-Lizorkin one."""
+    u, dom = interval.midpoint(), E.domain
+    link = slobodeckij(u, 2, dom) if slobo else triebel_lizorkin(u, 2, 2, dom)
+    return Verdict(FEASIBLE, rule,
+                   witness=WitnessChain((E, link, F), u_interval=interval))
+
+
+def _tent_infeasible(alpha, beta, k, desc: str) -> Verdict:
+    """2(alpha - beta) < k: the tent-bump family breaks the cotype."""
+    gap = alpha - beta
+    ineq = Inequality(2 * gap, k, ">=", desc)
+    rec = ObstructionRecipe(ineq, "hoelder-tent-bumps", (k / 2 - gap) / alpha,
+                            "cotype2", params={"alpha": alpha, "beta": beta, "k": k})
+    return Verdict(INFEASIBLE, "holder-packing", obstruction=rec)
 
 
 def _decide_sequence(E: SpaceSpec, F: SpaceSpec) -> Verdict:
@@ -182,8 +183,7 @@ def _decide_sequence(E: SpaceSpec, F: SpaceSpec) -> Verdict:
     rule = "lp-iff"
     if p <= 2 <= q:
         chain = (E, sequence_lp(2), F)
-        return Verdict(FEASIBLE, rule,
-                       witness=WitnessChain(chain, hilbert_index=1))
+        return Verdict(FEASIBLE, rule, witness=WitnessChain(chain))
     if p > 2:
         ineq = Inequality(p, xr(2), "<=", "sequence source index p")
         rec = ObstructionRecipe(ineq, "lp-unit-vectors",
@@ -206,8 +206,7 @@ def _decide_lebesgue(E: SpaceSpec, F: SpaceSpec) -> Verdict:
     rule = "Lp-iff"
     if q <= 2 <= p:
         chain = (E, lebesgue_lp(2, E.domain), F)
-        return Verdict(FEASIBLE, rule,
-                       witness=WitnessChain(chain, hilbert_index=1))
+        return Verdict(FEASIBLE, rule, witness=WitnessChain(chain))
     d = E.domain.dimension
     if q > 2:
         ineq = Inequality(q, xr(2), "<=", "Lebesgue target index q")
@@ -223,6 +222,9 @@ def _decide_lebesgue(E: SpaceSpec, F: SpaceSpec) -> Verdict:
 
 
 _NO_EXPONENT = "the packing exponent of the domain could not be fitted"
+_NO_SUFFICIENCY = "no sufficiency statement for non-Euclidean domains"
+_NECESSARY_ONLY = ("only the necessary condition is available for "
+                   "coherent-set smoothness; it is satisfied here")
 
 
 def _packing_exponent(domain: DomainSpec) -> Optional[ExtRational]:
@@ -255,19 +257,13 @@ def _decide_holder(E: SpaceSpec, F: SpaceSpec) -> Verdict:
         return Verdict(UNDETERMINED, rule, reason=_NO_EXPONENT)
     gap2 = 2 * (alpha - beta)
     if gap2 < k:
-        ineq = Inequality(gap2, k, ">=", "packing exponent bound 2(alpha-beta)")
-        rec = ObstructionRecipe(
-            ineq, "hoelder-tent-bumps",
-            (k / 2 - (alpha - beta)) / alpha, "cotype2",
-            params={"alpha": alpha, "beta": beta, "k": k})
-        return Verdict(INFEASIBLE, rule, obstruction=rec)
+        return _tent_infeasible(alpha, beta, k, "packing exponent bound 2(alpha-beta)")
     if E.domain.kind in ("unit-cube", "euclidean-ball") and gap2 > k:
         return decide(emb.rewrite_identifications(E), emb.rewrite_identifications(F))
     if gap2 == k:
         return Verdict(BORDERLINE, rule,
                        reason="2(alpha-beta) equals the packing exponent exactly")
-    return Verdict(UNDETERMINED, rule,
-                   reason="no sufficiency statement for non-Euclidean domains")
+    return Verdict(UNDETERMINED, rule, reason=_NO_SUFFICIENCY)
 
 
 def _decide_smooth_scale(E: SpaceSpec, F: SpaceSpec) -> Verdict:
@@ -280,10 +276,11 @@ def _decide_smooth_scale(E: SpaceSpec, F: SpaceSpec) -> Verdict:
     gap, thr = s - t, deficiency(p1, p2, d)
     rule = "slobodeckij-threshold" if slobo_pair else "besov-tl-threshold"
     if gap > thr:
-        if slobo_pair:
-            return _feasible_smooth(E, F, rule, closed=False)
-        closed = Ec.family == "triebel-lizorkin" and Fc.family == "triebel-lizorkin"
-        return _feasible_smooth(Ec, Fc, rule, closed=closed)
+        closed = not slobo_pair and Ec.family == Fc.family == "triebel-lizorkin"
+        interval = _threshold_interval(s, t, p1, p2, d, closed)
+        if slobo_pair:  # a Slobodeckij pair keeps its own scale
+            return _feasible_smooth(E, F, rule, interval, slobo=True)
+        return _feasible_smooth(Ec, Fc, rule, interval)
     if t == 0:
         return Verdict(UNDETERMINED, rule,
                        reason="necessity requires t > 0; below-threshold case open at t = 0")
@@ -309,16 +306,14 @@ def _decide_mixed(E: SpaceSpec, F: SpaceSpec) -> Verdict:
         rec = _smooth_obstruction(s, t, p1, p2, d, "smooth-scaled-bumps",
                                   "mixed order gap |A|1-|B|1 against deficiency")
         return Verdict(INFEASIBLE, rule, obstruction=rec)
-    return Verdict(UNDETERMINED, rule,
-                   reason="only the necessary condition is available for "
-                          "coherent-set smoothness; it is satisfied here")
+    return Verdict(UNDETERMINED, rule, reason=_NECESSARY_ONLY)
 
 
 def decide(E: SpaceSpec, F: SpaceSpec) -> Verdict:
     """Can a reproducing kernel Hilbert space sit between E and F?"""
     if E.domain != F.domain:
         raise DecisionError("decision endpoints must share a domain")
-    if F.family in ("sup", "continuous-bounded"):
+    if F.family in BOUNDED_TARGETS:
         return decide_bounded_target(E, F.family)
     verdict = emb.embeds(E, F)
     if verdict.status == emb.FAILS:
@@ -331,8 +326,7 @@ def decide(E: SpaceSpec, F: SpaceSpec) -> Verdict:
         if Ec.family == "triebel-lizorkin" and Ec.p == 2 and Ec.q == 2:
             interval = UInterval(Ec.s, Ec.s, False, False)
             return Verdict(FEASIBLE, "identity",
-                           witness=WitnessChain((E, E, F), 1,
-                                                u_interval=interval))
+                           witness=WitnessChain((E, E, F), u_interval=interval))
 
     fe, ff = E.family, F.family
     if fe == "sequence-lp" and ff == "sequence-lp":
@@ -351,7 +345,7 @@ def decide(E: SpaceSpec, F: SpaceSpec) -> Verdict:
 
 def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
     """Existence of an RKHS between E and the bounded (sup-norm) functions."""
-    if target not in ("sup", "continuous-bounded"):
+    if target not in BOUNDED_TARGETS:
         raise DecisionError(f"unknown bounded target {target!r}")
     dom = E.domain
 
@@ -376,14 +370,9 @@ def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
         if k is None:
             return Verdict(UNDETERMINED, "holder-packing", reason=_NO_EXPONENT)
         if 2 * E.s < k:
-            ineq = Inequality(2 * E.s, k, ">=", "packing exponent bound 2*alpha")
-            rec = ObstructionRecipe(ineq, "hoelder-tent-bumps",
-                                    (k / 2 - E.s) / E.s, "cotype2",
-                                    params={"alpha": E.s, "beta": xr(0), "k": k})
-            return Verdict(INFEASIBLE, "holder-packing", obstruction=rec)
+            return _tent_infeasible(E.s, xr(0), k, "packing exponent bound 2*alpha")
         if dom.kind == "finite-metric-set":
-            return Verdict(UNDETERMINED, "holder-packing",
-                           reason="no sufficiency statement for non-Euclidean domains")
+            return Verdict(UNDETERMINED, "holder-packing", reason=_NO_SUFFICIENCY)
 
     # T4: mixed smoothness, necessity only
     if E.family == "mixed-sobolev":
@@ -392,15 +381,13 @@ def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
         if not s >= d / E.p:
             return Verdict(UNDETERMINED, "c0-threshold",
                            reason="requires |A|1 >= d/p for the bounded target")
-        thr = pos_part(d / E.p - d / 2) + d / 2
+        thr = deficiency(E.p, INF, dom.dimension)
         if s < thr:
             ineq = Inequality(s, thr, ">=", "bounded-target deficiency")
             rec = ObstructionRecipe(ineq, "smooth-scaled-bumps", d / 2 - s, "cotype2",
                                     params={"s": s, "p": E.p, "d": dom.dimension})
             return Verdict(INFEASIBLE, "c0-threshold", obstruction=rec)
-        return Verdict(UNDETERMINED, "c0-threshold",
-                       reason="only the necessary condition is available for "
-                              "coherent-set smoothness; it is satisfied here")
+        return Verdict(UNDETERMINED, "c0-threshold", reason=_NECESSARY_ONLY)
 
     # T2: Besov/TL (and everything that rewrites into them)
     if E.family in _SMOOTH_SCALE:
@@ -412,12 +399,8 @@ def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
         thr = deficiency(p, INF, dom.dimension)
         rule = "c0-threshold"
         if s > thr:
-            interval = UInterval(d / 2, s - pos_part(d / p - d / 2), True, True)
-            u = interval.midpoint()
-            target_spec = SpaceSpec(target, dom)
-            chain = (E, _hilbert_link(u, Ec), target_spec)
-            return Verdict(FEASIBLE, rule,
-                           witness=WitnessChain(chain, 1, u_interval=interval))
+            interval = _threshold_interval(s, 0, p, INF, dom.dimension, closed=False)
+            return _feasible_smooth(E, SpaceSpec(target, dom), rule, interval)
         if s == thr:
             return Verdict(BORDERLINE, rule,
                            reason="smoothness equals the bounded-target threshold exactly")

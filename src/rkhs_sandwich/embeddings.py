@@ -8,15 +8,66 @@ is Undetermined, never Fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from .spaces import DomainError, SpaceSpec
+from .spaces import BOUNDED_TARGETS, DomainError, SpaceSpec
 from .xrational import INF, ExtRational, xr
 
 HOLDS = "Holds"
 FAILS = "Fails"
 UNDETERMINED = "Undetermined"
+
+# every rule id an embedding or a decision can cite, with the mathematical
+# statement it stands for; a compound tag such as "R11+R3+R4" cites each part
+RULES: Dict[str, str] = {
+    "identity": "a space embeds into itself",
+    "R1": "Triebel-Lizorkin: s > t and s - t >= d/p1 - d/p2",
+    "R2": "Besov: s > t and s - t > d/p1 - d/p2",
+    "R3": "same smoothness, integration index decreases (p1 >= p2), equal "
+          "fein index; Triebel-Lizorkin needs a finite fein index",
+    "R4": "same smoothness and integration index, fein index increases; any "
+          "fein change is free once s > t at equal p",
+    "R5": "cross-scale (Besov vs Triebel-Lizorkin): s > t and "
+          "s - t > d/p1 - d/p2 strictly",
+    "R6": "integer Sobolev on a bounded domain: holds iff s >= t and "
+          "s - t >= d/p1 - d/p2",
+    "R7": "Hoelder on a bounded metric space: alpha >= beta",
+    "R8": "sequence spaces: lp into lq iff p <= q",
+    "R9": "Lebesgue on a bounded domain: Lp into Lq for q <= p",
+    "R10": "supercritical smoothness s > d/p embeds into bounded continuous "
+           "functions",
+    "R11": "identifications: Sobolev, Slobodeckij, and Hoelder rewrite onto "
+           "the Besov / Triebel-Lizorkin scale",
+    "lp-iff": "an intermediate RKHS between lp and lq exists iff p <= 2 <= q, "
+              "witnessed by l2",
+    "Lp-iff": "an intermediate RKHS between Lp and Lq on a bounded domain "
+              "exists iff q <= 2 <= p, witnessed by L2",
+    "holder-packing": "for a Hoelder pair the smoothness gap must satisfy "
+                      "2(alpha - beta) >= k, k the packing exponent of the "
+                      "domain; above the threshold a fractional W^u_2 fits",
+    "slobodeckij-threshold": "the gap s - t against the deficiency "
+                             "(d/p1 - d/2)_+ + (d/2 - d/p2)_+ decides the "
+                             "fractional scale; admissible u fill an interval",
+    "besov-tl-threshold": "the gap s - t against the deficiency decides the "
+                          "Besov / Triebel-Lizorkin scale",
+    "mixed-necessity": "coherent-set smoothness yields the necessary "
+                       "condition |A|1 - |B|1 >= deficiency; no sufficiency",
+    "c0-threshold": "against the bounded functions the threshold is "
+                    "(d/p - d/2)_+ + d/2 on the source smoothness",
+    "unbounded-domain": "no RKHS with bounded kernel sits above smooth "
+                        "functions on an unbounded Euclidean domain",
+    "unmatched": "no decision rule covers the queried pair",
+}
+
+
+def cite(tag: str) -> List[Tuple[str, str]]:
+    """The (rule id, statement) pairs a tag cites; ValueError on an id
+    outside RULES."""
+    try:
+        return [(part, RULES[part]) for part in tag.split("+")]
+    except KeyError as exc:
+        raise ValueError(f"unknown rule id {exc.args[0]!r} in tag {tag!r}") from None
 
 
 @dataclass(frozen=True)
@@ -24,21 +75,22 @@ class EmbedVerdict:
     status: str
     rule: Optional[str] = None
     reason: Optional[str] = None
-    chain: Optional[List[SpaceSpec]] = None
 
     def __post_init__(self):
         if self.status in (HOLDS, FAILS) and not self.rule:
             raise ValueError(f"{self.status} verdicts must carry a rule tag")
         if self.status == UNDETERMINED and not self.reason:
             raise ValueError("Undetermined verdicts must carry a reason")
+        if self.rule is not None:
+            cite(self.rule)
 
     @property
     def holds(self) -> bool:
         return self.status == HOLDS
 
 
-def _holds(rule: str, chain: Optional[List[SpaceSpec]] = None) -> EmbedVerdict:
-    return EmbedVerdict(HOLDS, rule=rule, chain=chain)
+def _holds(rule: str) -> EmbedVerdict:
+    return EmbedVerdict(HOLDS, rule=rule)
 
 
 def _fails(rule: str) -> EmbedVerdict:
@@ -98,8 +150,7 @@ def _smooth_pair(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
             return _holds("R4")
         if p1 >= p2 and q1 <= q2 and r3_ok:
             # lower the integration index, then relax the fein index
-            mid = E.with_params(p=p2)
-            return _holds("R3+R4", chain=[E, mid, F])
+            return _holds("R3+R4")
     if same_family and p1 == p2 and s > t:
         # any fein-index change is absorbed by an arbitrarily small smoothness cost
         return _holds("R4")
@@ -150,7 +201,7 @@ def embeds(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
             return _holds("R7")
         return _open("Hoelder inclusion with increasing exponent is outside the rule set")
 
-    if fam_f in ("sup", "continuous-bounded"):
+    if fam_f in BOUNDED_TARGETS:
         if fam_e == "holder":
             return _holds("R7")  # alpha-Hoelder functions are bounded
         src = rewrite_identifications(E)
@@ -169,7 +220,7 @@ def embeds(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
         verdict = _smooth_pair(src, dst)
         if verdict.holds and (src is not E or dst is not F):
             tag = verdict.rule if verdict.rule.startswith("R11") else f"R11+{verdict.rule}"
-            return EmbedVerdict(HOLDS, rule=tag, chain=verdict.chain)
+            return _holds(tag)
         return verdict
 
     return _open(f"no rule covers the pair ({fam_e} -> {fam_f})")

@@ -9,52 +9,11 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from . import __version__
+from .embeddings import cite
 from .norms import QuadratureConfig
 from .xrational import ExtRational
 
 SCHEMA = "rkhs-sandwich-report/1"
-
-# every rule tag a verdict or embedding can cite, with the mathematical
-# statement it stands for
-RULE_REGISTRY: Dict[str, str] = {
-    "identity": "a space embeds into itself",
-    "R1": "Triebel-Lizorkin: s > t and s - t >= d/p1 - d/p2",
-    "R2": "Besov: s > t and s - t > d/p1 - d/p2",
-    "R3": "same smoothness, integration index decreases (p1 >= p2), equal "
-          "fein index; Triebel-Lizorkin needs a finite fein index",
-    "R4": "same smoothness and integration index, fein index increases; any "
-          "fein change is free once s > t at equal p",
-    "R5": "cross-scale (Besov vs Triebel-Lizorkin): s > t and "
-          "s - t > d/p1 - d/p2 strictly",
-    "R6": "integer Sobolev on a bounded domain: holds iff s >= t and "
-          "s - t >= d/p1 - d/p2",
-    "R7": "Hoelder on a bounded metric space: alpha >= beta",
-    "R8": "sequence spaces: lp into lq iff p <= q",
-    "R9": "Lebesgue on a bounded domain: Lp into Lq for q <= p",
-    "R10": "supercritical smoothness s > d/p embeds into bounded continuous "
-           "functions",
-    "R11": "identifications: Sobolev, Slobodeckij, and Hoelder rewrite onto "
-           "the Besov / Triebel-Lizorkin scale",
-    "lp-iff": "an intermediate RKHS between lp and lq exists iff p <= 2 <= q, "
-              "witnessed by l2",
-    "Lp-iff": "an intermediate RKHS between Lp and Lq on a bounded domain "
-              "exists iff q <= 2 <= p, witnessed by L2",
-    "holder-packing": "for a Hoelder pair the smoothness gap must satisfy "
-                      "2(alpha - beta) >= k, k the packing exponent of the "
-                      "domain; above the threshold a fractional W^u_2 fits",
-    "slobodeckij-threshold": "the gap s - t against the deficiency "
-                             "(d/p1 - d/2)_+ + (d/2 - d/p2)_+ decides the "
-                             "fractional scale; admissible u fill an interval",
-    "besov-tl-threshold": "the gap s - t against the deficiency decides the "
-                          "Besov / Triebel-Lizorkin scale",
-    "mixed-necessity": "coherent-set smoothness yields the necessary "
-                       "condition |A|1 - |B|1 >= deficiency; no sufficiency",
-    "c0-threshold": "against the bounded functions the threshold is "
-                    "(d/p - d/2)_+ + d/2 on the source smoothness",
-    "unbounded-domain": "no RKHS with bounded kernel sits above smooth "
-                        "functions on an unbounded Euclidean domain",
-    "unmatched": "no decision rule covers the queried pair",
-}
 
 
 def _plain(value: Any) -> Any:
@@ -88,11 +47,9 @@ class Report:
     def build(command: str, query: Dict[str, Any], payload: Dict[str, Any],
               rules: Optional[List[str]] = None, seed: Optional[int] = None,
               quadrature: Optional[QuadratureConfig] = None) -> "Report":
-        citations = []
-        for tag in rules or []:
-            for part in tag.split("+"):
-                citations.append({"rule": part,
-                                  "anchor": RULE_REGISTRY.get(part, "unregistered")})
+        # each part of each tag, cited from the engine's RULES table
+        citations = [{"rule": part, "anchor": statement}
+                     for tag in rules or [] for part, statement in cite(tag)]
         quad = None
         if quadrature is not None:
             quad = {"resolution": quadrature.resolution,

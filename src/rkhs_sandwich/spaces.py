@@ -178,6 +178,9 @@ _FAMILIES = (
     "c-infinity",
 )
 
+# the families of bounded functions, decided as targets by their own rules
+BOUNDED_TARGETS = ("sup", "continuous-bounded")
+
 _EUCLIDEAN = ("unit-cube", "euclidean-ball", "euclidean-space")
 
 
@@ -198,12 +201,6 @@ class SpaceSpec:
             if v is not None and not isinstance(v, ExtRational):
                 object.__setattr__(self, name, xr(v))
         validate_space(self)
-
-    def with_params(self, **kw) -> "SpaceSpec":
-        data = {"family": self.family, "domain": self.domain, "s": self.s,
-                "p": self.p, "q": self.q, "indices": self.indices}
-        data.update(kw)
-        return SpaceSpec(**data)
 
     def label(self) -> str:
         bits = [self.family]
@@ -300,7 +297,7 @@ def validate_space(spec: SpaceSpec) -> SpaceSpec:
                  "lebesgue-lp takes only p")
         _require(dom.kind in _EUCLIDEAN, DomainError,
                  "lebesgue-lp needs a Euclidean domain")
-    elif fam in ("sup", "continuous-bounded", "c-infinity"):
+    elif fam in BOUNDED_TARGETS or fam == "c-infinity":
         no_indices()
         _require(spec.s is None and spec.p is None and spec.q is None,
                  ValidationError, f"{fam} takes no numeric parameters")

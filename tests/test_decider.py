@@ -27,7 +27,7 @@ class TestSequencePairs:
         assert v.status == "Feasible"
         assert [s.label() for s in v.witness.links] == \
             ["sequence-lp:1", "sequence-lp:2", "sequence-lp:inf"]
-        assert v.witness.links[v.witness.hilbert_index].p == 2
+        assert v.witness.links[1].p == 2  # the Hilbert link
 
     def test_l3_to_l4_infeasible(self):
         v = decide(sequence_lp(3), sequence_lp(4))

@@ -7,11 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rkhs_sandwich import (NormFunctional, QuadratureConfig, ball, cube, decide,
-                           decide_bounded_target, holder, indicator_partition,
-                           lebesgue_lp, rademacher_norm, scan, seq_l2_norm,
-                           sequence_lp, slobodeckij, smooth_family, whole_space)
-from rkhs_sandwich.rademacher import DomainTooSmallError, ModeError, ScanError
+from rkhs_sandwich import (NormFunctional, QuadratureConfig, SignedSum, ball, cube,
+                           decide, decide_bounded_target, hoelder_norm, holder,
+                           indicator_partition, lebesgue_lp, rademacher_norm, scan,
+                           seq_l2_norm, sequence_lp, slobodeckij, smooth_family,
+                           tent_family, whole_space)
+from rkhs_sandwich.rademacher import (DomainTooSmallError, ModeError, ScanError,
+                                      _tent_cloud)
 
 FAST = QuadratureConfig(resolution=16, tolerance=1e-4)
 
@@ -153,6 +155,26 @@ class TestScan:
                                                   mc_samples=8))
             assert series.points == expected, alpha
             assert series.log_axis == "1/delta"
+
+    def test_tent_hoelder_norm_is_sign_independent(self):
+        # on the 3-D tent clouds every sign pattern's Hoelder value is the
+        # center-witness quotient 1, so each cotype ratio is sqrt(n) delta/3:
+        # the F side sums n tents of height delta/3 over the E-side average 1
+        dom, deltas = cube(3), [Fraction(1, 4), Fraction(1, 8)]
+        recipe = decide_bounded_target(holder(1, dom), "sup").obstruction
+        rng = np.random.default_rng(2)
+        for dl in deltas:
+            fam = tent_family(dom, dl / 3, 1)
+            cloud = _tent_cloud(fam.centers, float(dl) / 3, 1.0)
+            for _ in range(6):
+                signs = [int(e) for e in rng.choice((1, -1), size=fam.n)]
+                assert hoelder_norm(SignedSum(fam.members, signs), 1.0, cloud) == 1.0
+        series = scan(recipe, NormFunctional("hoelder", holder_exponent=1.0),
+                      NormFunctional("sup"), deltas, domain=dom, seed=7,
+                      config=QuadratureConfig(mc_samples=8, tolerance=1e-4))
+        assert [n for _, n, _ in series.points] == [80, 704]
+        for dl, n, ratio in series.points:
+            assert ratio == pytest.approx(math.sqrt(n) * dl / 3, rel=0, abs=1e-12)
 
     def test_indicator_scan_points(self):
         # recorded points for a type-2 scan on the line and a cotype-2 scan

@@ -1,16 +1,26 @@
-"""JSON reports and the command-line front end."""
+"""JSON reports, the rule table they cite, and the command-line front end."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rkhs_sandwich
+from rkhs_sandwich import (INF, RULES, STATUS_EXIT_CODES, EmbedVerdict, Verdict,
+                           besov, c_infinity, cube, decide, decide_bounded_target,
+                           embeds, holder, lebesgue_lp, mixed_sobolev, sequence_lp,
+                           slobodeckij, sobolev, sup_space, triebel_lizorkin,
+                           whole_space)
 from rkhs_sandwich.cli import main, parse_domain, parse_space
-from rkhs_sandwich.report import RULE_REGISTRY, Report
+from rkhs_sandwich.report import Report
 
 
 class TestReport:
@@ -23,11 +33,64 @@ class TestReport:
     def test_compound_rule_tags_split(self):
         r = Report.build("decide", {}, {}, rules=["R11+R5"])
         assert [c["rule"] for c in r.rule_citations] == ["R11", "R5"]
-        assert all(c["anchor"] != "unregistered" for c in r.rule_citations)
+        assert all(c["anchor"] == RULES[c["rule"]] for c in r.rule_citations)
 
-    def test_unregistered_tag_is_flagged(self):
-        r = Report.build("decide", {}, {}, rules=["R99"])
-        assert r.rule_citations[0]["anchor"] == "unregistered"
+    def test_unknown_tag_is_refused(self):
+        # the engine and the report share one table, so a tag outside it is
+        # an error wherever it appears
+        for tag in ("R99", "R11+R99", "r1"):
+            with pytest.raises(ValueError, match="unknown rule id"):
+                Report.build("decide", {}, {}, rules=[tag])
+            with pytest.raises(ValueError, match="unknown rule id"):
+                EmbedVerdict("Holds", rule=tag)
+            with pytest.raises(ValueError, match="unknown rule id"):
+                Verdict("Undetermined", tag, reason="no rule")
+
+
+def _rule_queries():
+    """One verdict per rule id, each with the tag it must carry."""
+    c1, c2, c3 = cube(1), cube(2), cube(3)
+    return [
+        (embeds(sequence_lp(2), sequence_lp(2)), "identity"),
+        (embeds(triebel_lizorkin(2, 2, 2, c1), triebel_lizorkin(1, 2, 2, c1)), "R1"),
+        (embeds(besov(2, 2, 4, c1), besov(1, 2, 4, c1)), "R2"),
+        (embeds(besov(1, 4, 3, c1), besov(1, 2, 3, c1)), "R3"),
+        (embeds(besov(1, 2, 3, c1), besov(1, 2, 4, c1)), "R4"),
+        (embeds(besov(1, 4, 3, c1), besov(1, 2, 4, c1)), "R3+R4"),
+        (embeds(besov(2, 2, 3, c1), triebel_lizorkin(1, 2, 2, c1)), "R5"),
+        (embeds(sobolev(2, 2, c1), sobolev(1, 2, c1)), "R6"),
+        (embeds(holder(1, c1), holder(Fraction(1, 2), c1)), "R7"),
+        (embeds(sequence_lp(1), sequence_lp(2)), "R8"),
+        (embeds(lebesgue_lp(4, c1), lebesgue_lp(2, c1)), "R9"),
+        (embeds(slobodeckij(2, 2, c1), sup_space(c1)), "R10"),
+        (embeds(slobodeckij(1, 2, c1), sobolev(1, 2, c1)), "R11"),
+        (embeds(sobolev(2, 2, c1), slobodeckij(1, 2, c1)), "R11+R1"),
+        (decide(slobodeckij(1, 2, c1), slobodeckij(1, 2, c1)), "identity"),
+        (decide(sequence_lp(1), sequence_lp(INF)), "lp-iff"),
+        (decide(lebesgue_lp(4, c1), lebesgue_lp(2, c1)), "Lp-iff"),
+        (decide(holder(1, c3), holder(Fraction(1, 2), c3)), "holder-packing"),
+        (decide(slobodeckij(Fraction(11, 5), 2, c2),
+                slobodeckij(Fraction(3, 10), 2, c2)), "slobodeckij-threshold"),
+        (decide(besov(2, 4, 4, c2), besov(1, 4, 4, c2)), "besov-tl-threshold"),
+        (decide(mixed_sobolev([(0, 0), (1, 0), (0, 1)], 2, c2),
+                mixed_sobolev([(0, 0), (1, 0)], 2, c2)), "mixed-necessity"),
+        (decide_bounded_target(slobodeckij(2, 2, c1)), "c0-threshold"),
+        (decide_bounded_target(c_infinity(whole_space(2))), "unbounded-domain"),
+        (decide(lebesgue_lp(2, c1), holder(Fraction(1, 2), c1)), "unmatched"),
+    ]
+
+
+class TestRuleTable:
+    def test_every_rule_is_cited_and_resolves(self):
+        cited = set()
+        for verdict, tag in _rule_queries():
+            assert verdict.rule == tag
+            report = Report.build("decide", {}, {}, rules=[verdict.rule])
+            assert [c["rule"] for c in report.rule_citations] == tag.split("+")
+            for cite in report.rule_citations:
+                assert cite["anchor"] == RULES[cite["rule"]]
+                cited.add(cite["rule"])
+        assert cited == set(RULES)
 
 
 def _run(capsys, argv):
@@ -101,7 +164,7 @@ class TestDecideCommand:
         doc = json.loads(out)
         assert doc["rule_citations"]
         for cite in doc["rule_citations"]:
-            assert cite["anchor"] == RULE_REGISTRY[cite["rule"]]
+            assert cite["anchor"] == RULES[cite["rule"]]
 
     def test_deterministic_output(self, capsys):
         argv = ["decide", "--from", "besov:2:4:4", "--to", "besov:1:4:4",
@@ -110,6 +173,77 @@ class TestDecideCommand:
         _, second = _run(capsys, argv)
         assert first == second
         assert json.loads(first)["schema"] == "rkhs-sandwich-report/1"
+
+
+# parameters per CLI family, as the README documents them
+_CLI_ARITY = {"lp": 1, "lebesgue": 1, "holder": 1, "sobolev": 2, "slobo": 2,
+              "besov": 3, "tl": 3, "mixsob": 2, "sup": 0, "c0": 0, "cinf": 0}
+_GOOD_NUMBERS = st.one_of(
+    st.fractions(min_value=0, max_value=5, max_denominator=6).map(str),
+    st.sampled_from(["inf", "1", "2", "3/2", "4"]))
+_BAD_NUMBERS = st.sampled_from(["1/0", "-1", "x", "", "1/2/3", "2.5", "nan",
+                                "1,0;0,1", "Infinity"])
+_INDEX_SETS = st.sampled_from(["1,0;0,1", "1,0", "2,1", "1", "1,1,1", "0,0",
+                               "1,-1", "x", ""])
+_GOOD_DOMAINS = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["cube", "ball", "space"]),
+              st.integers(min_value=1, max_value=3)),
+    st.builds("ball:{}:{}".format, st.integers(min_value=1, max_value=3),
+              _GOOD_NUMBERS))
+_BAD_DOMAINS = st.one_of(st.none(), st.sampled_from(
+    ["seq", "cube", "cube:0", "cube:-1", "cube:x", "torus:2", "ball:2:0",
+     "ball:1:-1", "ball:1:x", "space:1/2", ""]))
+
+
+@st.composite
+def _space_arg(draw, family):
+    """family:param:... with the right parameter count nine times in ten,
+    and one malformed parameter or a wrong count the tenth time."""
+    if draw(st.integers(0, 9)) == 0:
+        params = draw(st.lists(st.one_of(_GOOD_NUMBERS, _BAD_NUMBERS), max_size=4))
+    elif family == "mixsob":
+        params = [draw(_GOOD_NUMBERS), draw(_INDEX_SETS)]
+    else:
+        params = [draw(_GOOD_NUMBERS) for _ in range(_CLI_ARITY.get(family, 1))]
+    return ":".join([family] + params)
+
+
+@st.composite
+def _decide_args(draw):
+    # a known family nine times in ten; the target repeats the source's
+    # family half of the time
+    def family():
+        names = sorted(_CLI_ARITY) if draw(st.integers(0, 9)) else ["wavelet", "", "LP"]
+        return draw(st.sampled_from(names))
+
+    source_family = family()
+    target_family = source_family if draw(st.booleans()) else family()
+    # a well-formed domain eight times in ten; "seq" and none are for lp
+    domain = draw(_GOOD_DOMAINS if draw(st.integers(0, 9)) >= 2 else _BAD_DOMAINS)
+    argv = ["decide", "--from", draw(_space_arg(source_family)),
+            "--to", draw(_space_arg(target_family))]
+    return argv if domain is None else argv + ["--domain", domain]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decide_args())
+def test_decide_exit_contract(argv):
+    # any --from/--to/--domain exits 0/10/11/12 with one JSON document, or
+    # 64 with nothing on stdout; never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 10, 11, 12, 64), (argv, code)
+    if code < 64:
+        doc = json.loads(out.getvalue())  # one document, nothing after it
+        assert STATUS_EXIT_CODES[doc["payload"]["status"]] == code
+        assert out.getvalue() == Report.from_json(out.getvalue()).to_json()
+    else:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().strip(), argv
 
 
 def test_cli_runs_as_a_process():
@@ -139,7 +273,11 @@ class TestScanCommand:
     def test_scan_refuses_feasible_pair(self, capsys):
         code = main(["scan", "--from", "lp:1", "--to", "lp:inf",
                      "--deltas", "1/4,1/8"])
-        assert code == 2
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err == ("error: verdict is Feasible; scans need an "
+                                "Infeasible pair with an obstruction recipe\n")
 
 
 class TestTableCommand:
@@ -155,7 +293,10 @@ class TestTableCommand:
     def test_table_size_refusal(self, capsys):
         values = ",".join(str(k) for k in range(1, 102))
         code = main(["table", "--kind", "lp", "--values", values])
-        assert code == 2
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err == "error: refusing a table with more than 10^4 cells\n"
 
 
 class TestPackingCommand:
