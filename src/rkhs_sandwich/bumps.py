@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .spaces import DomainSpec, ball
 from .packing import greedy_packing
@@ -293,6 +292,7 @@ class BumpFamily:
         if len(self.centers) < 2:
             return
         metric_pow = 1.0 if self.reference == "smooth" else self.tent_alpha
+        from scipy.spatial import cKDTree
         # distance from each center to its nearest other center
         nearest = cKDTree(self.centers).query(self.centers, k=2)[0][:, 1]
         if float(np.min(nearest)) ** metric_pow < 3 * self.delta - 1e-12:

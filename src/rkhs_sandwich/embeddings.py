@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .spaces import BOUNDED_TARGETS, DomainError, SpaceSpec
+from .spaces import BOUNDED_TARGETS, DomainError, SpaceSpec, _identified
 from .xrational import INF, ExtRational, xr
 
 HOLDS = "Holds"
 FAILS = "Fails"
 UNDETERMINED = "Undetermined"
+
+_TWO = xr(2)
 
 # every rule id an embedding or a decision can cite, with the mathematical
 # statement it stands for; a compound tag such as "R11+R3+R4" cites each part
@@ -111,14 +113,14 @@ def rewrite_identifications(spec: SpaceSpec) -> SpaceSpec:
     """
     fam = spec.family
     if fam == "sobolev":
-        return SpaceSpec("triebel-lizorkin", spec.domain, s=spec.s, p=spec.p, q=xr(2))
+        return _identified("triebel-lizorkin", spec.domain, spec.s, spec.p, _TWO)
     if fam == "slobodeckij":
-        q = xr(2) if spec.s.is_integer() else spec.p
-        return SpaceSpec("triebel-lizorkin", spec.domain, s=spec.s, p=spec.p, q=q)
+        q = _TWO if spec.s.is_integer() else spec.p
+        return _identified("triebel-lizorkin", spec.domain, spec.s, spec.p, q)
     if fam == "holder" and spec.domain.kind != "finite-metric-set":
-        return SpaceSpec("besov", spec.domain, s=spec.s, p=INF, q=INF)
+        return _identified("besov", spec.domain, spec.s, INF, INF)
     if fam == "besov" and spec.p.is_finite and spec.p == spec.q:
-        return SpaceSpec("triebel-lizorkin", spec.domain, s=spec.s, p=spec.p, q=spec.q)
+        return _identified("triebel-lizorkin", spec.domain, spec.s, spec.p, spec.q)
     return spec
 
 

@@ -22,9 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.spatial import cKDTree
-from scipy.special import gamma as gamma_fn
 
 from .spaces import DomainSpec
 
@@ -242,6 +239,7 @@ def hoelder_norm(fn, alpha: float, points: np.ndarray) -> float:
     """
     if not 0 < alpha <= 1:
         raise NormError("Hoelder exponent must lie in (0, 1]")
+    from scipy.spatial import cKDTree
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(fn(points), dtype=float)
     sup = float(np.max(np.abs(vals))) if len(vals) else 0.0
@@ -337,6 +335,7 @@ def _local_slope_mass(fn, lo, hi, res: int, d: int, p: float) -> float:
 
 def _sphere_direction_factor(d: int, p: float) -> float:
     """Surface integral over the unit sphere of |e . omega|^p."""
+    from scipy.special import gamma as gamma_fn
     surface = d * unit_ball_volume(d)
     mean = gamma_fn((p + 1) / 2) * gamma_fn(d / 2) / \
         (math.sqrt(math.pi) * gamma_fn((p + d) / 2))
@@ -451,6 +450,7 @@ def _multi_indices(d: int, order: int) -> List[Tuple[int, ...]]:
 # -- radial integrals --------------------------------------------------------
 
 def unit_ball_volume(d: int) -> float:
+    from scipy.special import gamma as gamma_fn
     return math.pi ** (d / 2) / gamma_fn(d / 2 + 1)
 
 
@@ -461,7 +461,7 @@ def radial_integral(profile: Callable[[float], float], a: float, b: float,
     if not 0 <= a < b:
         raise NormError("need 0 <= a < b")
     import warnings
-    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import IntegrationWarning, quad
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:

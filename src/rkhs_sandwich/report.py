@@ -60,7 +60,8 @@ class Report:
                       rule_citations=citations, seed=seed, quadrature=quad)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        # build() and from_json() leave every field a plain JSON value
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "Report":

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -125,9 +127,14 @@ class DomainSpec:
                         raise DomainError("metric table must be symmetric")
                     if i != j and t[i][j] <= 0:
                         raise DomainError("off-diagonal distances must be positive")
-            for i, j, k in itertools.product(range(n), repeat=3):
-                if t[i][j] > t[i][k] + t[k][j]:
-                    raise DomainError("metric table violates the triangle inequality")
+            # t[i][j] <= t[i][k] + t[k][j] for every i, j, k, compared in
+            # integers over the table's common denominator
+            den = math.lcm(*(x.denominator for row in t for x in row))
+            m = [[x.numerator * (den // x.denominator) for x in row] for row in t]
+            for k, mk in enumerate(m):
+                for mi in m:
+                    if max(map(operator.sub, mi, mk)) > mi[k]:
+                        raise DomainError("metric table violates the triangle inequality")
         else:
             if not isinstance(self.dimension, int) or self.dimension < 1:
                 raise DomainError(f"{self.kind} requires a positive integer dimension")
@@ -157,8 +164,7 @@ def whole_space(d: int) -> DomainSpec:
 def finite_metric(table, dimension: Optional[int] = None) -> DomainSpec:
     """Finite metric space from a distance table; dimension, when given,
     plays the role of the packing exponent's ambient dimension."""
-    return DomainSpec("finite-metric-set", dimension, metric_table=tuple(
-        tuple(Fraction(x) for x in row) for row in table))
+    return DomainSpec("finite-metric-set", dimension, metric_table=table)
 
 
 SEQUENCE_INDEX = DomainSpec("sequence-index")
@@ -215,6 +221,17 @@ class SpaceSpec:
         return self.label()
 
 
+def _identified(family: str, domain: DomainSpec, s: ExtRational, p: ExtRational,
+                q: ExtRational) -> SpaceSpec:
+    """The Besov / Triebel-Lizorkin spec that an identification maps a
+    validated spec onto.  The identifications keep the domain and only move
+    parameters that already passed the source family's checks into ranges
+    the target family accepts, so validate_space is not run again."""
+    spec = object.__new__(SpaceSpec)
+    spec.__dict__.update(family=family, domain=domain, s=s, p=p, q=q, indices=None)
+    return spec
+
+
 def _require(cond: bool, err: type, msg: str) -> None:
     if not cond:
         raise err(msg)
@@ -225,13 +242,11 @@ def validate_space(spec: SpaceSpec) -> SpaceSpec:
     violated one, otherwise return the spec unchanged."""
     fam, dom = spec.family, spec.domain
     _require(fam in _FAMILIES, ValidationError, f"unknown family {fam!r}")
-
-    def no_indices():
+    if fam != "mixed-sobolev":
         _require(spec.indices is None, ValidationError,
                  f"{fam} does not take a multi-index set")
 
     if fam == "holder":
-        no_indices()
         _require(spec.p is None and spec.q is None, IntegrabilityRangeError,
                  "holder takes only the exponent alpha")
         _require(spec.s is not None and spec.s.is_finite
@@ -240,7 +255,6 @@ def validate_space(spec: SpaceSpec) -> SpaceSpec:
         _require(dom.kind != "sequence-index", DomainError,
                  "holder spaces need a metric domain")
     elif fam == "sobolev":
-        no_indices()
         _require(spec.s is not None and spec.s.is_finite and spec.s >= 0
                  and spec.s.is_integer(), SmoothnessRangeError,
                  "classical sobolev smoothness must be a nonnegative integer")
@@ -248,7 +262,6 @@ def validate_space(spec: SpaceSpec) -> SpaceSpec:
                  IntegrabilityRangeError, "sobolev requires p in (1, inf)")
         _require(dom.kind in _EUCLIDEAN, DomainError, "sobolev needs a Euclidean domain")
     elif fam == "slobodeckij":
-        no_indices()
         _require(spec.s is not None and spec.s.is_finite and spec.s >= 0,
                  SmoothnessRangeError, "slobodeckij smoothness must be finite and >= 0")
         _require(spec.p is not None and spec.p.is_finite and spec.p >= 1,
@@ -259,7 +272,6 @@ def validate_space(spec: SpaceSpec) -> SpaceSpec:
         _require(dom.kind in _EUCLIDEAN, DomainError,
                  "slobodeckij needs a Euclidean domain")
     elif fam in ("besov", "triebel-lizorkin"):
-        no_indices()
         _require(spec.s is not None and spec.s.is_finite, SmoothnessRangeError,
                  f"{fam} smoothness must be finite")
         _require(spec.p is not None and spec.p >= 1, IntegrabilityRangeError,
@@ -282,7 +294,6 @@ def validate_space(spec: SpaceSpec) -> SpaceSpec:
         _require(dom.dimension == spec.indices.dimension, DomainError,
                  "multi-index dimension must match the domain dimension")
     elif fam == "sequence-lp":
-        no_indices()
         _require(spec.p is not None and spec.p >= 1, IntegrabilityRangeError,
                  "sequence-lp requires p in [1, inf]")
         _require(spec.s is None and spec.q is None, ValidationError,
@@ -290,7 +301,6 @@ def validate_space(spec: SpaceSpec) -> SpaceSpec:
         _require(dom.kind == "sequence-index", DomainError,
                  "sequence-lp lives on the sequence index set")
     elif fam == "lebesgue-lp":
-        no_indices()
         _require(spec.p is not None and spec.p >= 1, IntegrabilityRangeError,
                  "lebesgue-lp requires p in [1, inf]")
         _require(spec.s is None and spec.q is None, ValidationError,
@@ -298,7 +308,6 @@ def validate_space(spec: SpaceSpec) -> SpaceSpec:
         _require(dom.kind in _EUCLIDEAN, DomainError,
                  "lebesgue-lp needs a Euclidean domain")
     elif fam in BOUNDED_TARGETS or fam == "c-infinity":
-        no_indices()
         _require(spec.s is None and spec.p is None and spec.q is None,
                  ValidationError, f"{fam} takes no numeric parameters")
     return spec

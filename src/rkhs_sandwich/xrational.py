@@ -1,13 +1,14 @@
 """Exact arithmetic over the extended rationals (Fraction plus +infinity).
 
 Every quantity on a decision path is an ExtRational; floats only appear in
-the numerical lab.
+the numerical lab.  The result of an operation on two ExtRationals is built
+straight from the exact Fraction the operation computed, without passing it
+through the coercion of the public constructor again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from typing import Union
 
 RationalLike = Union["ExtRational", Fraction, int, str]
@@ -17,7 +18,6 @@ class ParameterRangeError(ValueError):
     """A numeric parameter is outside its documented range."""
 
 
-@total_ordering
 class ExtRational:
     """A rational number or +infinity, with exact total-ordered arithmetic.
 
@@ -30,7 +30,12 @@ class ExtRational:
         if denominator is not None:
             self._value: Fraction | None = Fraction(value, denominator)
             return
-        if isinstance(value, ExtRational):
+        kind = type(value)
+        if kind is ExtRational:
+            self._value = value._value
+        elif kind is Fraction:
+            self._value = value
+        elif isinstance(value, ExtRational):
             self._value = value._value
         elif isinstance(value, str):
             s = value.strip()
@@ -61,82 +66,101 @@ class ExtRational:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other: RationalLike) -> "ExtRational":
-        return other if isinstance(other, ExtRational) else ExtRational(other)
-
     def __add__(self, other: RationalLike) -> "ExtRational":
-        other = self._coerce(other)
-        if self.is_infinite or other.is_infinite:
-            return ExtRational.infinity()
-        return ExtRational(self._value + other._value)
+        b = _value_of(other)
+        if self._value is None or b is None:
+            return INF
+        return _of(self._value + b)
 
     __radd__ = __add__
 
     def __sub__(self, other: RationalLike) -> "ExtRational":
-        other = self._coerce(other)
-        if self.is_infinite and other.is_infinite:
+        a, b = self._value, _value_of(other)
+        if a is None and b is None:
             raise ArithmeticError("inf - inf is undefined")
-        if self.is_infinite:
-            return ExtRational.infinity()
-        if other.is_infinite:
+        if a is None:
+            return INF
+        if b is None:
             raise ArithmeticError("finite - inf leaves the extended rationals")
-        return ExtRational(self._value - other._value)
+        return _of(a - b)
 
     def __rsub__(self, other: RationalLike) -> "ExtRational":
-        return self._coerce(other) - self
+        return _coerce(other) - self
 
     def __mul__(self, other: RationalLike) -> "ExtRational":
-        other = self._coerce(other)
-        if self.is_infinite or other.is_infinite:
-            if self == 0 or other == 0:
+        a, b = self._value, _value_of(other)
+        if a is None or b is None:
+            if a == 0 or b == 0:
                 raise ArithmeticError("0 * inf is undefined")
-            if self < 0 or other < 0:
+            if (a is not None and a < 0) or (b is not None and b < 0):
                 raise ArithmeticError("negative * inf leaves the extended rationals")
-            return ExtRational.infinity()
-        return ExtRational(self._value * other._value)
+            return INF
+        return _of(a * b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "ExtRational":
-        other = self._coerce(other)
-        if other.is_infinite:
-            if self.is_infinite:
+        a, b = self._value, _value_of(other)
+        if b is None:
+            if a is None:
                 raise ArithmeticError("inf / inf is undefined")
-            return ExtRational(0)
-        if other == 0:
+            return ZERO
+        if b == 0:
             raise ZeroDivisionError("division by zero")
-        if self.is_infinite:
-            return ExtRational.infinity()
-        return ExtRational(self._value / other._value)
+        if a is None:
+            return INF
+        return _of(a / b)
 
     def __rtruediv__(self, other: RationalLike) -> "ExtRational":
-        return self._coerce(other) / self
+        return _coerce(other) / self
 
     def __neg__(self) -> "ExtRational":
-        if self.is_infinite:
+        if self._value is None:
             raise ArithmeticError("-inf is not representable")
-        return ExtRational(-self._value)
+        return _of(-self._value)
 
     def __abs__(self) -> "ExtRational":
-        if self.is_infinite:
+        if self._value is None:
             return self
-        return ExtRational(abs(self._value))
+        return _of(abs(self._value))
 
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is ExtRational:
+            return self._value == other._value
         if not isinstance(other, (ExtRational, Fraction, int, str)):
             return NotImplemented
-        other = self._coerce(other)
-        return self._value == other._value
+        return self._value == _value_of(other)
 
+    # finite values compare by cross-multiplying numerators and (positive)
+    # denominators, which int and Fraction both carry; Fraction's own
+    # comparison adds an abstract-base-class check on every call
     def __lt__(self, other: RationalLike) -> bool:
-        other = self._coerce(other)
-        if self.is_infinite:
+        a, b = self._value, _value_of(other)
+        if a is None:
             return False
-        if other.is_infinite:
+        return b is None or a.numerator * b.denominator < b.numerator * a.denominator
+
+    def __le__(self, other: RationalLike) -> bool:
+        a, b = self._value, _value_of(other)
+        if b is None:
             return True
-        return self._value < other._value
+        return a is not None and \
+            a.numerator * b.denominator <= b.numerator * a.denominator
+
+    def __gt__(self, other: RationalLike) -> bool:
+        a, b = self._value, _value_of(other)
+        if b is None:
+            return False
+        return a is None or a.numerator * b.denominator > b.numerator * a.denominator
+
+    def __ge__(self, other: RationalLike) -> bool:
+        a, b = self._value, _value_of(other)
+        if a is None:
+            return True
+        return b is not None and \
+            a.numerator * b.denominator >= b.numerator * a.denominator
 
     def __hash__(self) -> int:
         return hash(self._value) if self._value is not None else hash("ext-inf")
@@ -161,7 +185,29 @@ class ExtRational:
         return self.as_fraction().denominator
 
     def is_integer(self) -> bool:
-        return self.is_finite and self._value.denominator == 1
+        return self._value is not None and self._value.denominator == 1
+
+
+def _of(value: Fraction) -> ExtRational:
+    """The finite ExtRational holding an exact Fraction result."""
+    obj = object.__new__(ExtRational)
+    obj._value = value
+    return obj
+
+
+def _coerce(other: RationalLike) -> ExtRational:
+    return other if isinstance(other, ExtRational) else ExtRational(other)
+
+
+def _value_of(other: RationalLike) -> Fraction | int | None:
+    """The exact value (None for infinity) an operand stands for; a plain
+    int stays an int, which Fraction arithmetic and comparison take as is."""
+    kind = type(other)
+    if kind is ExtRational:
+        return other._value
+    if kind is int:
+        return other
+    return _coerce(other)._value
 
 
 INF = ExtRational.infinity()
@@ -169,7 +215,9 @@ ZERO = ExtRational(0)
 
 
 def xr(value: RationalLike, denominator: int | None = None) -> ExtRational:
-    """Shorthand constructor."""
+    """Shorthand constructor; an ExtRational is returned as it is."""
+    if denominator is None and type(value) is ExtRational:
+        return value
     return ExtRational(value, denominator)
 
 

@@ -6,11 +6,50 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkhs_sandwich import (INF, besov, chain_holds, cube, embeds, holder,
-                           lebesgue_lp, rewrite_identifications, sequence_lp,
-                           slobodeckij, sobolev, sup_space, triebel_lizorkin,
-                           xr)
+from rkhs_sandwich import (INF, ball, besov, c_infinity, chain_holds,
+                           coherent_closure, continuous_bounded, cube, embeds,
+                           finite_metric, holder, lebesgue_lp, mixed_sobolev,
+                           rewrite_identifications, sequence_lp, slobodeckij,
+                           sobolev, sup_space, triebel_lizorkin, validate_space,
+                           whole_space, xr)
 from rkhs_sandwich.spaces import DomainError
+
+
+def _specs(make, *parts):
+    return st.tuples(*parts).map(lambda args: make(*args))
+
+
+_euclidean = st.one_of(
+    st.integers(1, 3).map(cube), st.integers(1, 3).map(whole_space),
+    st.tuples(st.integers(1, 3), st.sampled_from([Fraction(1, 2), 1, 3])).map(
+        lambda a: ball(*a)))
+_metric = st.one_of(_euclidean,
+                    st.just(finite_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])))
+_smooth = st.fractions(min_value=-2, max_value=4, max_denominator=6)
+_index = st.fractions(min_value=1, max_value=8, max_denominator=6)
+_index_inf = st.one_of(_index, st.just(INF))
+_mixed = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=1, max_size=3).map(
+        lambda idx: coherent_closure(idx, d)),
+    _index, st.sampled_from([cube(d), ball(d), whole_space(d)])))
+
+# valid specs of every family, on every domain kind the family accepts
+valid_specs = st.one_of(
+    _specs(holder, st.fractions(min_value=Fraction(1, 12), max_value=1,
+                                max_denominator=12).filter(lambda a: a > 0),
+           _metric),
+    _specs(sobolev, st.integers(0, 4), _index.filter(lambda p: p > 1), _euclidean),
+    st.tuples(st.fractions(min_value=0, max_value=4, max_denominator=6), _index,
+              _euclidean).filter(lambda a: a[0].denominator > 1 or a[1] > 1)
+    .map(lambda a: slobodeckij(*a)),
+    _specs(besov, _smooth, _index_inf, _index_inf, _euclidean),
+    st.tuples(_smooth, _index_inf, _euclidean).map(
+        lambda a: besov(a[0], a[1], a[1], a[2])),
+    _specs(triebel_lizorkin, _smooth, _index, _index_inf, _euclidean),
+    _mixed.map(lambda a: mixed_sobolev(*a)),
+    _index_inf.map(sequence_lp),
+    _specs(lebesgue_lp, _index_inf, _euclidean),
+    *(_metric.map(make) for make in (sup_space, continuous_bounded, c_infinity)))
 
 
 class TestRewrites:
@@ -35,6 +74,19 @@ class TestRewrites:
                      besov(1, 4, 4, cube(2))):
             once = rewrite_identifications(spec)
             assert rewrite_identifications(once) == once
+
+
+    @given(valid_specs)
+    def test_rewrite_is_valid_idempotent_and_public(self, spec):
+        # the rewrite skips validate_space; every spec it returns must still
+        # pass it and equal the spec the public constructor builds
+        out = rewrite_identifications(spec)
+        assert validate_space(out) is out
+        assert rewrite_identifications(out) == out
+        if out is not spec:
+            make = {"besov": besov, "triebel-lizorkin": triebel_lizorkin}[out.family]
+            public = make(out.s, out.p, out.q, out.domain)
+            assert out == public and hash(out) == hash(public)
 
 
 class TestEmbedsExamples:

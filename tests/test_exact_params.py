@@ -1,6 +1,11 @@
 """Exact arithmetic, coherent index sets, and descriptor validation."""
 
+from __future__ import annotations
+
+import math
+import operator
 from fractions import Fraction
+from functools import total_ordering
 
 import pytest
 from hypothesis import given
@@ -16,7 +21,211 @@ from rkhs_sandwich.xrational import ParameterRangeError, pos_part
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 
 
+def _coercing_extrational():
+    """A reference ExtRational: every operation coerces its operand and
+    builds its result through __init__, and >, >= and <= come from
+    total_ordering.  The fast paths of rkhs_sandwich.xrational must agree
+    with it on every result and every exception."""
+
+    @total_ordering
+    class ExtRational:
+        """A rational number or +infinity, with exact total-ordered arithmetic.
+
+        1/inf evaluates to 0.  inf - inf and 0 * inf are undefined and raise.
+        """
+
+        __slots__ = ("_value",)  # Fraction, or None for +infinity
+
+        def __init__(self, value: RationalLike = 0, denominator: int | None = None):
+            if denominator is not None:
+                self._value: Fraction | None = Fraction(value, denominator)
+                return
+            if isinstance(value, ExtRational):
+                self._value = value._value
+            elif isinstance(value, str):
+                s = value.strip()
+                self._value = None if s in ("inf", "infinity", "oo") else Fraction(s)
+            elif isinstance(value, (int, Fraction)):
+                self._value = Fraction(value)
+            else:
+                raise TypeError(f"cannot build ExtRational from {type(value).__name__}")
+
+        @classmethod
+        def infinity(cls) -> "ExtRational":
+            obj = cls.__new__(cls)
+            obj._value = None
+            return obj
+
+        @property
+        def is_infinite(self) -> bool:
+            return self._value is None
+
+        @property
+        def is_finite(self) -> bool:
+            return self._value is not None
+
+        def as_fraction(self) -> Fraction:
+            if self._value is None:
+                raise OverflowError("infinite ExtRational has no Fraction value")
+            return self._value
+
+        # -- arithmetic ---------------------------------------------------------
+
+        def _coerce(self, other: RationalLike) -> "ExtRational":
+            return other if isinstance(other, ExtRational) else ExtRational(other)
+
+        def __add__(self, other: RationalLike) -> "ExtRational":
+            other = self._coerce(other)
+            if self.is_infinite or other.is_infinite:
+                return ExtRational.infinity()
+            return ExtRational(self._value + other._value)
+
+        __radd__ = __add__
+
+        def __sub__(self, other: RationalLike) -> "ExtRational":
+            other = self._coerce(other)
+            if self.is_infinite and other.is_infinite:
+                raise ArithmeticError("inf - inf is undefined")
+            if self.is_infinite:
+                return ExtRational.infinity()
+            if other.is_infinite:
+                raise ArithmeticError("finite - inf leaves the extended rationals")
+            return ExtRational(self._value - other._value)
+
+        def __rsub__(self, other: RationalLike) -> "ExtRational":
+            return self._coerce(other) - self
+
+        def __mul__(self, other: RationalLike) -> "ExtRational":
+            other = self._coerce(other)
+            if self.is_infinite or other.is_infinite:
+                if self == 0 or other == 0:
+                    raise ArithmeticError("0 * inf is undefined")
+                if self < 0 or other < 0:
+                    raise ArithmeticError("negative * inf leaves the extended rationals")
+                return ExtRational.infinity()
+            return ExtRational(self._value * other._value)
+
+        __rmul__ = __mul__
+
+        def __truediv__(self, other: RationalLike) -> "ExtRational":
+            other = self._coerce(other)
+            if other.is_infinite:
+                if self.is_infinite:
+                    raise ArithmeticError("inf / inf is undefined")
+                return ExtRational(0)
+            if other == 0:
+                raise ZeroDivisionError("division by zero")
+            if self.is_infinite:
+                return ExtRational.infinity()
+            return ExtRational(self._value / other._value)
+
+        def __rtruediv__(self, other: RationalLike) -> "ExtRational":
+            return self._coerce(other) / self
+
+        def __neg__(self) -> "ExtRational":
+            if self.is_infinite:
+                raise ArithmeticError("-inf is not representable")
+            return ExtRational(-self._value)
+
+        def __abs__(self) -> "ExtRational":
+            if self.is_infinite:
+                return self
+            return ExtRational(abs(self._value))
+
+        # -- comparisons --------------------------------------------------------
+
+        def __eq__(self, other: object) -> bool:
+            if not isinstance(other, (ExtRational, Fraction, int, str)):
+                return NotImplemented
+            other = self._coerce(other)
+            return self._value == other._value
+
+        def __lt__(self, other: RationalLike) -> bool:
+            other = self._coerce(other)
+            if self.is_infinite:
+                return False
+            if other.is_infinite:
+                return True
+            return self._value < other._value
+
+        def __hash__(self) -> int:
+            return hash(self._value) if self._value is not None else hash("ext-inf")
+
+        # -- conversion / display ------------------------------------------------
+
+        def __float__(self) -> float:
+            return float("inf") if self._value is None else float(self._value)
+
+        def __str__(self) -> str:
+            return "inf" if self._value is None else str(self._value)
+
+        def __repr__(self) -> str:
+            return f"ExtRational({str(self)!r})"
+
+        @property
+        def numerator(self) -> int:
+            return self.as_fraction().numerator
+
+        @property
+        def denominator(self) -> int:
+            return self.as_fraction().denominator
+
+        def is_integer(self) -> bool:
+            return self.is_finite and self._value.denominator == 1
+
+    return ExtRational
+
+
+OracleExtRational = _coercing_extrational()
+
+
+# an ExtRational operand, as ("xr", value); or a plain int, Fraction, str
+# or float operand, which both classes must coerce, reflect or refuse alike
+_wrapped = st.one_of(rationals, st.integers(-5, 5), st.just("inf")).map(
+    lambda v: ("xr", v))
+_plain = st.one_of(st.integers(-50, 50), rationals,
+                   st.sampled_from(["3/4", " -2 ", "0", "inf", "oo", "junk"]),
+                   st.sampled_from([0.0, 1.5, -2.0]))
+_BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
+           operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+           operator.ge]
+_UNARY = [operator.neg, abs, str, repr, hash, float,
+          lambda x: x.is_integer(), lambda x: x.is_finite]
+
+
+def _operand(cls, v):
+    return cls(v[1]) if isinstance(v, tuple) else v
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives: the value (an ExtRational by str and hash), or
+    the type and message of what it raises."""
+    try:
+        r = fn(*args)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    if type(r).__name__ == "ExtRational":
+        return "ExtRational", str(r), hash(r)
+    return "value", r
+
+
 class TestExtRational:
+    @given(_wrapped, st.one_of(_wrapped, _plain), st.booleans())
+    def test_binary_operations_match_the_coercing_oracle(self, a, b, reflect):
+        if reflect:  # b op a with a plain b exercises the reflected forms
+            a, b = b, a
+        for op in _BINARY:
+            got = _outcome(op, _operand(ExtRational, a), _operand(ExtRational, b))
+            want = _outcome(op, _operand(OracleExtRational, a),
+                            _operand(OracleExtRational, b))
+            assert got == want, (op, a, b)
+
+    @given(_wrapped)
+    def test_unary_operations_match_the_coercing_oracle(self, a):
+        for op in _UNARY:
+            assert _outcome(op, _operand(ExtRational, a)) == \
+                _outcome(op, _operand(OracleExtRational, a)), (op, a)
+
     def test_exact_arithmetic(self):
         assert xr(1, 3) + xr(1, 6) == xr(1, 2)
         assert xr(2, 3) * xr(3, 4) == xr(1, 2)
@@ -142,6 +351,33 @@ class TestValidation:
         with pytest.raises(DomainError):
             finite_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
         finite_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+    def test_metric_table_triangle_boundary(self):
+        # 1/3 + 2/7 = 13/21: equality holds; one step of 1/21 more breaks it
+        a, b = Fraction(1, 3), Fraction(2, 7)
+        finite_metric([[0, a, a + b], [a, 0, b], [a + b, b, 0]])
+        c = a + b + Fraction(1, math.lcm(3, 7))
+        with pytest.raises(DomainError, match="triangle inequality"):
+            finite_metric([[0, a, c], [a, 0, b], [c, b, 0]])
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.fractions(min_value=Fraction(1, 8), max_value=4,
+                                        max_denominator=12),
+                           min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        .map(lambda upper: (n, upper))))
+    def test_metric_table_triangle_matches_fraction_check(self, case):
+        n, upper = case
+        t = [[Fraction(0)] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), x in zip(pairs, upper):
+            t[i][j] = t[j][i] = x
+        metric = all(t[i][j] <= t[i][k] + t[k][j]
+                     for i in range(n) for j in range(n) for k in range(n))
+        if metric:
+            assert finite_metric(t).metric_table == tuple(map(tuple, t))
+        else:
+            with pytest.raises(DomainError, match="triangle inequality"):
+                finite_metric(t)
 
     def test_metric_table_symmetry(self):
         with pytest.raises(DomainError):

@@ -257,6 +257,29 @@ def test_cli_runs_as_a_process():
     assert json.loads(proc.stdout)["payload"]["status"] == "Infeasible"
 
 
+def test_engine_path_imports_no_scipy():
+    # SciPy serves only the numerical lab; the engine and the CLI's decide
+    # must answer without loading it
+    code = ("import contextlib, io, sys\n"
+            "import rkhs_sandwich, rkhs_sandwich.cli\n"
+            "from rkhs_sandwich import (cube, decide, decide_bounded_target,\n"
+            "                           finite_metric, holder, slobodeckij)\n"
+            "metric = finite_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = rkhs_sandwich.cli.main(['decide', '--from', 'holder:1',\n"
+            "                                   '--to', 'sup', '--domain', 'cube:3'])\n"
+            "print(decide(slobodeckij(3, 2, cube(2)), slobodeckij(1, 2, cube(2))).status,\n"
+            "      decide_bounded_target(holder(1, metric)).rule, code)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(rkhs_sandwich.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["Feasible holder-packing 10", "[]"]
+
+
 class TestScanCommand:
     def test_scan_writes_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "series.csv"
