@@ -14,7 +14,6 @@ which is hopeless near the flat support boundary.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -91,7 +90,6 @@ class SmoothBump:
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        self.normalization = math.e  # c with f = c * exp(-1/w); ensures f(0)=1
         self._prefactors: Dict[Tuple[int, ...], Tuple[Poly, int]] = {
             (0,) * dimension: ({(0,) * dimension: Fraction(1)}, 0)}
 

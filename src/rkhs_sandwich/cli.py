@@ -17,10 +17,10 @@ from typing import List, Optional
 
 from . import __version__
 from .decider import STATUS_EXIT_CODES, decide
-from .irkbs import SeriesSpec, check_applicability, cosine_series, split_series
-from .norms import DEFAULT_CONFIG, NormFunctional, QuadratureConfig
+from .irkbs import SeriesSpec, check_applicability, cosine_series
+from .norms import DEFAULT_CONFIG, QuadratureConfig
 from .packing import brute_force_packing, exponent_fit, greedy_packing
-from .rademacher import scan
+from .rademacher import recipe_functionals, scan
 from .report import Report
 from .spaces import (CoherentSet, DomainSpec, SpaceSpec, ball, besov, c_infinity,
                      coherent_closure, continuous_bounded, cube, holder,
@@ -164,7 +164,7 @@ def cmd_scan(args) -> int:
                          "pair with an obstruction recipe")
     deltas = [_parse_fraction(x) for x in args.deltas.split(",")]
     config = _quadrature_from(args)
-    e_fun, f_fun = _scan_functionals(verdict.obstruction)
+    e_fun, f_fun = recipe_functionals(verdict.obstruction)
     series = scan(verdict.obstruction, e_fun, f_fun, deltas, domain=domain,
                   seed=args.seed, config=config)
     if args.csv:
@@ -185,16 +185,6 @@ def cmd_scan(args) -> int:
                           quadrature=config)
     print(report.to_json(), end="")
     return 0
-
-
-def _scan_functionals(recipe):
-    c = recipe.construction
-    if c == "hoelder-tent-bumps":
-        return (NormFunctional("hoelder", holder_exponent=float(recipe.params["alpha"])),
-                NormFunctional("sup"))
-    if c == "smooth-scaled-bumps":
-        return NormFunctional("sup"), NormFunctional("sup")
-    return None, None  # sequence / indicator recipes are closed-form
 
 
 def cmd_table(args) -> int:
@@ -258,25 +248,13 @@ def cmd_irkbs(args) -> int:
     rho = None if args.measure_class == "all" or args.domain_radius in (None, "inf") \
         else _parse_fraction(args.domain_radius)
     spec = SeriesSpec(spec.coefficients, rho)
-    report_obj = check_applicability(
+    decomposition = check_applicability(
         spec, "all-finite-signed" if args.measure_class in (None, "all")
         else "user-restricted")
-    plus, minus = split_series(spec)
-    payload = {
-        "sigma_plus": [str(c) for c in plus],
-        "sigma_minus": [str(c) for c in minus],
-        "radius_plus": {"value": report_obj.radius_plus.value,
-                        "method": report_obj.radius_plus.method},
-        "radius_minus": {"value": report_obj.radius_minus.value,
-                         "method": report_obj.radius_minus.method},
-        "psi_bounded_on_domain": report_obj.psi_bounded_on_domain,
-        "lemma_applicable": report_obj.lemma_applicable,
-        "required_integrability": report_obj.required_integrability,
-        "diagonal_bound": report_obj.diagonal_bound,
-    }
     report = Report.build("irkbs", {"series": args.series,
                                     "domain_radius": args.domain_radius,
-                                    "measure_class": args.measure_class}, payload)
+                                    "measure_class": args.measure_class},
+                          decomposition)
     print(report.to_json(), end="")
     return 0
 

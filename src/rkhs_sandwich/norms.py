@@ -118,15 +118,20 @@ def _domain_box(domain: DomainSpec) -> Tuple[np.ndarray, np.ndarray]:
     raise NormError(f"no integration box for domain kind {domain.kind!r}")
 
 
-def _integration_boxes(fn, domain: DomainSpec) -> List[Tuple[np.ndarray, np.ndarray]]:
-    boxes = getattr(fn, "support_boxes", None)
-    if boxes is not None and _boxes_disjoint(boxes):
-        return list(boxes)
+def _support_boxes(fn, domain: DomainSpec) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+    """fn's support boxes (a SignedSum's, or a member's one) clipped to the
+    domain's box, left unclipped on R^d, without those that miss the domain;
+    None when fn declares no support."""
     box = getattr(fn, "support_box", None)
-    if box is not None:
+    boxes = getattr(fn, "support_boxes", None if box is None else [box])
+    if boxes is None:
+        return None
+    try:
         lo, hi = _domain_box(domain)
-        return [(np.maximum(box[0], lo), np.minimum(box[1], hi))]
-    return [_domain_box(domain)]
+    except (NormError, AttributeError):
+        lo, hi = -np.inf, np.inf
+    boxes = [(np.maximum(blo, lo), np.minimum(bhi, hi)) for blo, bhi in boxes]
+    return [(blo, bhi) for blo, bhi in boxes if np.all(bhi > blo)]
 
 
 def _boxes_disjoint(boxes) -> bool:
@@ -151,8 +156,9 @@ def lp_norm(fn, p: float, domain: DomainSpec,
     """||fn||_Lp by adaptive midpoint quadrature over the support boxes."""
     if not (p > 0 and math.isfinite(p)):
         raise NormError("lp_norm needs a finite positive exponent")
-    boxes = [(lo, hi) for lo, hi in _integration_boxes(fn, domain)
-             if np.all(hi > lo)]
+    boxes = _support_boxes(fn, domain)
+    if boxes is None or not _boxes_disjoint(boxes):
+        boxes = [_domain_box(domain)]
     if not boxes:
         return 0.0
     d = len(boxes[0][0])
@@ -199,23 +205,14 @@ def default_point_cloud(fn, domain: DomainSpec) -> np.ndarray:
     support boxes alone."""
     clouds = []
     try:
-        lo, hi = _domain_box(domain)
-    except (NormError, AttributeError):
-        lo = hi = None
-    if lo is not None:
-        pts, _ = _midpoint_grid(lo, hi, _CLOUD_PER_AXIS)
+        pts, _ = _midpoint_grid(*_domain_box(domain), _CLOUD_PER_AXIS)
         clouds.append(pts)
-    boxes = getattr(fn, "support_boxes", None)
-    if boxes is None:
-        box = getattr(fn, "support_box", None)
-        boxes = [box] if box is not None else []
-    for blo, bhi in boxes:
-        if lo is not None:
-            blo, bhi = np.maximum(blo, lo), np.minimum(bhi, hi)
-        if np.all(bhi > blo):
-            local_pts, _ = _midpoint_grid(blo, bhi, _CLOUD_LOCAL)
-            clouds.append(local_pts)
-            clouds.append((blo + bhi)[None, :] / 2)
+    except (NormError, AttributeError):
+        pass
+    for blo, bhi in _support_boxes(fn, domain) or []:
+        local_pts, _ = _midpoint_grid(blo, bhi, _CLOUD_LOCAL)
+        clouds.append(local_pts)
+        clouds.append((blo + bhi)[None, :] / 2)
     if not clouds:
         raise NormError("no point cloud available: unbounded domain and no "
                         "support boxes")

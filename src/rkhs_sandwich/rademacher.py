@@ -40,9 +40,6 @@ class RademacherEstimate:
     mode: str
     patterns: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _members_of(family) -> List:
     if hasattr(family, "members"):
@@ -70,21 +67,20 @@ def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
     if mode == "exhaustive":
         if n > 20:
             raise ModeError(f"exhaustive mode supports n <= 20, got {n}")
-        vals = [functional(SignedSum(members, signs), domain, config)
-                for signs in itertools.product((1, -1), repeat=n)]
-        return RademacherEstimate(float(np.mean(vals)), None, "exhaustive", len(vals))
-    if mode == "monte-carlo":
+        patterns = itertools.product((1, -1), repeat=n)
+    elif mode == "monte-carlo":
         rng = np.random.default_rng(seed)
-        vals = []
-        for _ in range(config.mc_samples):
-            signs = [int(s) for s in rng.choice((1, -1), size=n)]
-            vals.append(functional(SignedSum(members, signs), domain, config))
-        vals = np.asarray(vals)
+        patterns = ([int(s) for s in rng.choice((1, -1), size=n)]
+                    for _ in range(config.mc_samples))
+    else:
+        raise ModeError(f"unknown mode {mode!r}")
+    vals = [functional(SignedSum(members, signs), domain, config)
+            for signs in patterns]
+    stderr = None
+    if mode == "monte-carlo":
         stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
             if len(vals) > 1 else 0.0
-        return RademacherEstimate(float(np.mean(vals)), stderr,
-                                  "monte-carlo", len(vals))
-    raise ModeError(f"unknown mode {mode!r}")
+    return RademacherEstimate(float(np.mean(vals)), stderr, mode, len(vals))
 
 
 def seq_l2_norm(family, functional: NormFunctional, domain: DomainSpec,
@@ -124,15 +120,6 @@ def _check_deltas(deltas: List[Fraction]) -> None:
         raise ScanError("deltas must be strictly decreasing")
 
 
-def _ratio(mode: str, rad_e: float, seq_e: float, rad_f: float,
-           seq_f: float) -> float:
-    # type-2 puts the F-side Rademacher average over the E-side sequence
-    # norm; cotype-2 puts the F-side sequence norm over the E-side average
-    if mode == "type2":
-        return rad_f / seq_e
-    return seq_f / rad_e
-
-
 def _sign_config(n: int, config: QuadratureConfig) -> QuadratureConfig:
     """config with mc_samples capped so that a scan's total functional
     evaluations stay bounded for large families."""
@@ -147,6 +134,17 @@ def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
          config: QuadratureConfig = DEFAULT_CONFIG) -> ScanSeries:
     """Evaluate the blow-up ratio of an obstruction recipe along deltas.
 
+    type-2: E||sum eps_i f_i||_F / (sum ||f_i||_E^2)^(1/2); cotype-2:
+    (sum ||f_i||_F^2)^(1/2) / E||sum eps_i f_i||_E.  Only the averaged side
+    sees signed sums, and only the sequence side bare members;
+    recipe_functionals gives the recipe's own E and F.  The lp and indicator
+    ratios are closed forms.  The point-cloud functionals (hoelder, sup) are
+    lower bounds, so a ratio errs low where they sit in its numerator and
+    high where they sit in its denominator: the tent cotype ratio puts an
+    average of hoelder_norm's certified lower bounds under an exact
+    numerator (each tent peaks at its center, which the cloud holds), so up
+    to sampling it can only overstate the true ratio.
+
     The fitted slope estimates recipe.predicted_exponent; the log axis is n
     for sequence-space recipes and 1/delta otherwise.  One sign stream,
     seeded once from seed, runs through every delta in order, so the signs
@@ -159,41 +157,40 @@ def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
     at_delta = _AT_DELTA.get(recipe.construction)
     if at_delta is None:
         raise ScanError(f"unknown construction {recipe.construction!r}")
+    rad_fun, seq_fun = _sides(recipe, E_functional, F_functional)
     rng = np.random.default_rng(seed)
     pts = []
     for dl in deltas:
-        n, ratio = at_delta(recipe, dl, E_functional, F_functional, domain,
-                            rng, config)
-        pts.append((float(dl), n, ratio))
+        n, rad, seq = at_delta(recipe, dl, rad_fun, seq_fun, domain, rng, config)
+        pts.append((float(dl), n, rad / seq if recipe.mode == "type2" else seq / rad))
     log_axis = "n" if recipe.construction == "lp-unit-vectors" else "1/delta"
     xs = [math.log(n if log_axis == "n" else 1 / dl) for dl, n, _ in pts]
     slope, res = _fit(xs, [math.log(r) for _, _, r in pts])
     return ScanSeries(tuple(pts), slope, res, recipe.mode, log_axis)
 
 
-def _unit_vectors_at(recipe, dl, E_functional, F_functional, domain, rng,
-                     config) -> Tuple[int, float]:
-    p, q = float(recipe.params["p"]), float(recipe.params["q"])
+def _sides(recipe, e_side, f_side):
+    """(averaged side, sequence side) of the recipe's ratio."""
+    return (f_side, e_side) if recipe.mode == "type2" else (e_side, f_side)
+
+
+def _unit_vectors_at(recipe, dl, rad_fun, seq_fun, domain, rng,
+                     config) -> Tuple[int, float, float]:
+    r, _ = _sides(recipe, float(recipe.params["p"]), float(recipe.params["q"]))
     n = round(1 / dl)
-    ones = np.ones(n)
-    rad_e = float(np.linalg.norm(ones, p))  # sign-independent
-    rad_f = float(np.linalg.norm(ones, q))
-    seq = math.sqrt(n)  # each basis vector has norm 1 in any lp
-    return n, _ratio(recipe.mode, rad_e, seq, rad_f, seq)
+    # |sum eps_i e_i|_r is sign-independent, and each e_i has norm 1 in any lp
+    return n, float(np.linalg.norm(np.ones(n), r)), math.sqrt(n)
 
 
-def _indicators_at(recipe, dl, E_functional, F_functional, domain, rng,
-                   config) -> Tuple[int, float]:
-    p, q = float(recipe.params["p"]), float(recipe.params["q"])
+def _indicators_at(recipe, dl, rad_fun, seq_fun, domain, rng,
+                   config) -> Tuple[int, float, float]:
+    _, r = _sides(recipe, float(recipe.params["p"]), float(recipe.params["q"]))
     d = int(recipe.params["d"])
     n_grid = round(1 / dl)
     m = n_grid ** d  # cells of the partition of the unit cube
     cell_vol = n_grid ** (-d)
     # |sum eps_i 1_{A_i}| is identically 1 on the cube for every pattern
-    rad_e = rad_f = 1.0
-    seq_e = math.sqrt(m) * cell_vol ** (1 / p)
-    seq_f = math.sqrt(m) * cell_vol ** (1 / q)
-    return m, _ratio(recipe.mode, rad_e, seq_e, rad_f, seq_f)
+    return m, 1.0, math.sqrt(m) * cell_vol ** (1 / r)
 
 
 def _tent_cloud(centers: np.ndarray, width: float, alpha: float) -> np.ndarray:
@@ -206,8 +203,8 @@ def _tent_cloud(centers: np.ndarray, width: float, alpha: float) -> np.ndarray:
     return np.vstack([centers, witness])
 
 
-def _tents_at(recipe, dl, E_functional, F_functional, domain, rng,
-              config) -> Tuple[int, float]:
+def _tents_at(recipe, dl, rad_fun, seq_fun, domain, rng,
+              config) -> Tuple[int, float, float]:
     if domain is None:
         raise ScanError("tent-bump scans need an explicit domain")
     alpha = recipe.params["alpha"].as_fraction()
@@ -218,20 +215,18 @@ def _tents_at(recipe, dl, E_functional, F_functional, domain, rng,
         raise DomainTooSmallError(
             f"packing at delta={dl} yields fewer than 2 centers")
     cloud = _tent_cloud(fam.centers, float(dl) / 3, float(alpha))
-    e_fun = replace(E_functional, points=cloud)
     members = fam.members
-    # per-member F norm on its own center/witness pair
-    seq_f = math.sqrt(sum(
-        replace(F_functional, points=cloud[[i, n + i]])(members[i], domain,
-                                                        config) ** 2
-        for i in range(n)))
-    rad_e = rademacher_norm(members, e_fun, domain, "monte-carlo",
-                            _sign_config(n, config), seed=rng).value
-    return n, _ratio(recipe.mode, rad_e, math.nan, math.nan, seq_f)
+    # each member's sequence-side norm on its own center/witness pair
+    seq = math.sqrt(sum(
+        replace(seq_fun, points=cloud[[i, n + i]])(m, domain, config) ** 2
+        for i, m in enumerate(members)))
+    rad = rademacher_norm(members, replace(rad_fun, points=cloud), domain,
+                          "monte-carlo", _sign_config(n, config), seed=rng).value
+    return n, rad, seq
 
 
-def _smooth_at(recipe, dl, E_functional, F_functional, domain, rng,
-               config) -> Tuple[int, float]:
+def _smooth_at(recipe, dl, rad_fun, seq_fun, domain, rng,
+               config) -> Tuple[int, float, float]:
     d = int(recipe.params["d"])
     if recipe.params.get("unbounded"):
         # fixed-size bumps marching along the first axis; n grows with 1/delta
@@ -249,19 +244,28 @@ def _smooth_at(recipe, dl, E_functional, F_functional, domain, rng,
         # the family lives on its own ball regardless of the queried
         # domain; evaluate the norms where the bumps actually sit
         domain = fam.domain
-    seq_e = seq_l2_norm(members, E_functional, domain, config)
-    seq_f = seq_l2_norm(members, F_functional, domain, config)
-    # only the side that _ratio reads for this mode is averaged
-    rad_fun = F_functional if recipe.mode == "type2" else E_functional
+    seq = seq_l2_norm(members, seq_fun, domain, config)
     rad = rademacher_norm(members, rad_fun, domain, "monte-carlo",
                           _sign_config(n, config), seed=rng).value
-    return n, _ratio(recipe.mode, rad, seq_e, rad, seq_f)
+    return n, rad, seq
 
 
-# construction -> (recipe, delta, E, F, domain, rng, config) -> (n, ratio)
+# construction -> (recipe, delta, averaged side, sequence side, domain, rng,
+# config) -> (n, Rademacher average, sequence norm)
 _AT_DELTA = {
     "lp-unit-vectors": _unit_vectors_at,
     "Lp-indicator-partition": _indicators_at,
     "hoelder-tent-bumps": _tents_at,
     "smooth-scaled-bumps": _smooth_at,
 }
+
+
+def recipe_functionals(recipe) -> Tuple[Optional[NormFunctional], ...]:
+    """The (E, F) functionals that scan measures recipe with; None for the
+    closed-form sequence and indicator constructions."""
+    if recipe.construction == "hoelder-tent-bumps":
+        alpha = float(recipe.params["alpha"])
+        return NormFunctional("hoelder", holder_exponent=alpha), NormFunctional("sup")
+    if recipe.construction == "smooth-scaled-bumps":
+        return NormFunctional("sup"), NormFunctional("sup")
+    return None, None

@@ -44,7 +44,7 @@ class Report:
     schema: str = SCHEMA
 
     @staticmethod
-    def build(command: str, query: Dict[str, Any], payload: Dict[str, Any],
+    def build(command: str, query: Dict[str, Any], payload: Any,
               rules: Optional[List[str]] = None, seed: Optional[int] = None,
               quadrature: Optional[QuadratureConfig] = None) -> "Report":
         # each part of each tag, cited from the engine's RULES table

@@ -12,7 +12,7 @@ from rkhs_sandwich import norms
 from rkhs_sandwich import (DivergenceError, NormFunctional, QuadratureConfig,
                            ball, cube, hoelder_norm, lp_norm, radial_integral,
                            slobodeckij_norm, slobodeckij_seminorm,
-                           unit_ball_volume)
+                           unit_ball_volume, whole_space)
 from rkhs_sandwich.bumps import (SignedSum, SmoothBumpMember, TentMember,
                                  smooth_family, tent_family)
 from rkhs_sandwich.norms import AccuracyError, default_point_cloud
@@ -64,6 +64,21 @@ class TestLpNorm:
         from rkhs_sandwich.bumps import IndicatorMember
         m = IndicatorMember(np.zeros(2), np.full(2, 0.5))
         assert lp_norm(m, 3, cube(2)) == pytest.approx(0.25 ** (1 / 3), rel=1e-9)
+
+    def test_signed_sum_boxes_are_clipped_to_the_domain(self):
+        # the tent's box [-0.05, 0.15] leaves the unit interval; over
+        # [0, 0.15] the integral of (0.1 - |x - 0.05|)_+^2 is 0.000625
+        m = TentMember(np.array([0.05]), 0.1, 1)
+        single = lp_norm(m, 2, cube(1))
+        assert single == pytest.approx(0.025, rel=1e-4)
+        assert lp_norm(SignedSum([m], [1]), 2, cube(1)) == single
+
+    def test_member_on_the_whole_space(self):
+        # on R^d a member's box is left unclipped, as a SignedSum's boxes are
+        m = SmoothBumpMember(2, np.zeros(2), 1.0)
+        on_ball = lp_norm(m, 2, ball(2))
+        assert lp_norm(m, 2, whole_space(2)) == on_ball
+        assert lp_norm(SignedSum([m], [1]), 2, whole_space(2)) == on_ball
 
 
 class TestHoelderNorm:

@@ -18,6 +18,17 @@ from rkhs_sandwich.rademacher import (DomainTooSmallError, ModeError, ScanError,
 FAST = QuadratureConfig(resolution=16, tolerance=1e-4)
 
 
+class _Recording:
+    """The sup functional, recording the type of each function it measures."""
+
+    def __init__(self):
+        self.kinds = set()
+
+    def __call__(self, fn, domain, config):
+        self.kinds.add(type(fn).__name__)
+        return NormFunctional("sup")(fn, domain, config)
+
+
 class TestRademacherNorm:
     def test_single_member(self):
         fam = smooth_family(1, 0.25)
@@ -42,8 +53,9 @@ class TestRademacherNorm:
     def test_exhaustive_mode_cap(self):
         members = indicator_partition(1, 21)
         fn = NormFunctional("lp-of-derivative", alpha=(0,), p=2.0)
-        with pytest.raises(ModeError):
-            rademacher_norm(members, fn, cube(1), config=FAST)
+        for mode, message in (("exhaustive", "n <= 20"), ("bogus", "unknown mode")):
+            with pytest.raises(ModeError, match=message):
+                rademacher_norm(members, fn, cube(1), mode=mode, config=FAST)
 
     def test_monte_carlo_reproducible(self):
         fam = smooth_family(1, 0.125)
@@ -136,6 +148,24 @@ class TestScan:
                           config=QuadratureConfig(resolution=16, tolerance=1e-4,
                                                   mc_samples=4))
             assert series.points == expected, recipe.mode
+
+    def test_each_side_sees_one_kind_of_function(self):
+        # type-2 averages F over signed sums and takes E's sequence norm on
+        # bare members; cotype-2 does the reverse
+        square, plane = cube(2), whole_space(2)
+        cases = [
+            (decide(slobodeckij(Fraction(3, 2), 1, square),
+                    slobodeckij(1, 2, square)).obstruction, square,
+             ({"SmoothBumpMember"}, {"SignedSum"})),
+            (decide_bounded_target(slobodeckij(2, 2, plane), "sup").obstruction,
+             plane, ({"SignedSum"}, {"SmoothBumpMember"})),
+        ]
+        for recipe, dom, expected in cases:
+            E, F = _Recording(), _Recording()
+            scan(recipe, E, F, [Fraction(1, 4), Fraction(1, 8)], domain=dom,
+                 seed=3, config=QuadratureConfig(resolution=16, tolerance=1e-4,
+                                                 mc_samples=4))
+            assert (E.kinds, F.kinds) == expected, recipe.mode
 
     def test_tent_scan_points(self):
         # recorded points: the tent family is packed from the domain at each

@@ -20,7 +20,8 @@ from rkhs_sandwich import (INF, RULES, STATUS_EXIT_CODES, EmbedVerdict, Verdict,
                            slobodeckij, sobolev, sup_space, triebel_lizorkin,
                            whole_space)
 from rkhs_sandwich.cli import main, parse_domain, parse_space
-from rkhs_sandwich.report import Report
+from rkhs_sandwich.irkbs import SeriesSpec, check_applicability, cosine_series
+from rkhs_sandwich.report import Report, _plain
 
 
 class TestReport:
@@ -348,6 +349,23 @@ class TestIrkbsCommand:
         doc = json.loads(out)
         assert doc["payload"]["lemma_applicable"] == "conditional"
         assert "cosh" in doc["payload"]["required_integrability"]
+
+    def test_payload_is_the_decomposition_report(self, capsys):
+        # the bounded cosine, the whole-space cosine and a coefficient list
+        cases = [
+            (["--series", "cos", "--domain-radius", "1"], cosine_series(),
+             "all-finite-signed"),
+            (["--series", "cos", "--measure-class", "all"],
+             SeriesSpec(cosine_series().coefficients, None), "all-finite-signed"),
+            (["--series", "1,-1/2,1/3,-1/4", "--domain-radius", "1/2"],
+             SeriesSpec((1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4)),
+                        Fraction(1, 2)), "all-finite-signed"),
+        ]
+        for argv, spec, measure_class in cases:
+            code, out = _run(capsys, ["irkbs"] + argv)
+            assert code == 0
+            assert json.loads(out)["payload"] == \
+                _plain(check_applicability(spec, measure_class)), argv
 
 
 class TestParsers:
