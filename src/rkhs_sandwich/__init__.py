@@ -20,8 +20,8 @@ from .bumps import (BumpFamily, SignedSum, SmoothBump, TentMember, eval_bump,
                     eval_bump_derivative, indicator_partition, smooth_family,
                     tent_family)
 from .norms import (AccuracyError, DivergenceError, NormFunctional,
-                    QuadratureConfig, hoelder_norm, lp_norm, radial_integral,
-                    slobodeckij_norm, slobodeckij_seminorm, unit_ball_volume)
+                    QuadratureConfig, hoelder_norm, lp_norm, slobodeckij_norm,
+                    slobodeckij_seminorm, unit_ball_volume)
 from .rademacher import (RademacherEstimate, ScanSeries, rademacher_norm, scan,
                          seq_l2_norm)
 from .irkbs import (DecompositionReport, SeriesSpec, check_applicability,

@@ -259,7 +259,8 @@ def _decide_holder(E: SpaceSpec, F: SpaceSpec) -> Verdict:
     if gap2 < k:
         return _tent_infeasible(alpha, beta, k, "packing exponent bound 2(alpha-beta)")
     if E.domain.kind in ("unit-cube", "euclidean-ball") and gap2 > k:
-        return decide(emb.rewrite_identifications(E), emb.rewrite_identifications(F))
+        return _decide_smooth_scale(emb.rewrite_identifications(E),
+                                    emb.rewrite_identifications(F))
     if gap2 == k:
         return Verdict(BORDERLINE, rule,
                        reason="2(alpha-beta) equals the packing exponent exactly")

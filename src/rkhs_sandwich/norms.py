@@ -2,7 +2,7 @@
 
 Three numerical strategies, chosen per norm:
   * Lp norms of derivatives: adaptive midpoint tensor quadrature over the
-    support boxes, doubling resolution until two consecutive refinements agree.
+    support boxes, doubling the resolution per level.
   * Slobodeckij seminorms: midpoint rule over non-touching cell pairs, with
     the diagonal band refined recursively and the residual band bounded by a
     local-Lipschitz tail integral that is added as an explicit correction.
@@ -12,6 +12,11 @@ Three numerical strategies, chosen per norm:
     so only pairs closer than the r at which that bound meets the best
     quotient already found are examined, and the result equals the maximum
     over all pairs.
+
+Both quadratures stop by one rule (_converged): they return the first
+level's estimate v whose relative change |v - prev| / max(v, prev, 1e-300)
+from the level before is below the tolerance; when the levels run out,
+AccuracyError carries the last such change.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,8 +36,8 @@ class NormError(ValueError):
 
 
 class AccuracyError(NormError):
-    """Raised when the requested tolerance cannot be certified; carries the
-    tolerance that was achieved."""
+    """Raised when the requested tolerance cannot be certified; achieved is
+    the last relative change between refinement levels (inf after one level)."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved tolerance ~{achieved:.3e})")
@@ -134,6 +139,18 @@ def _support_boxes(fn, domain: DomainSpec) -> Optional[List[Tuple[np.ndarray, np
     return [(blo, bhi) for blo, bhi in boxes if np.all(bhi > blo)]
 
 
+def _converged(estimates, tolerance: float, message: str) -> float:
+    """The first per-level estimate that meets the stopping rule above."""
+    prev, change = None, math.inf
+    for value in estimates:
+        if prev is not None:
+            change = abs(value - prev) / max(value, prev, 1e-300)
+            if change < tolerance:
+                return value
+        prev = value
+    raise AccuracyError(message, change)
+
+
 def _boxes_disjoint(boxes) -> bool:
     for (lo1, hi1), (lo2, hi2) in itertools.combinations(boxes, 2):
         if np.all(hi1 > lo2) and np.all(hi2 > lo1):
@@ -153,7 +170,8 @@ def _midpoint_grid(lo: np.ndarray, hi: np.ndarray, res: int) -> Tuple[np.ndarray
 
 def lp_norm(fn, p: float, domain: DomainSpec,
             config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """||fn||_Lp by adaptive midpoint quadrature over the support boxes."""
+    """||fn||_Lp by adaptive midpoint quadrature over the support boxes; on
+    a ball domain the integrand is zero at grid points off the open ball."""
     if not (p > 0 and math.isfinite(p)):
         raise NormError("lp_norm needs a finite positive exponent")
     boxes = _support_boxes(fn, domain)
@@ -163,24 +181,24 @@ def lp_norm(fn, p: float, domain: DomainSpec,
         return 0.0
     d = len(boxes[0][0])
     cap = min(config.max_resolution, {1: 1 << 14, 2: 2048, 3: 256}.get(d, 64))
-    res = config.resolution
-    prev = None
-    while res <= cap:
-        total = 0.0
-        for lo, hi in boxes:
-            pts, w = _midpoint_grid(lo, hi, res)
-            total += float(np.sum(np.abs(fn(pts)) ** p)) * w
-        value = total ** (1.0 / p)
-        if prev is not None:
-            scale = max(value, prev, 1e-300)
-            if abs(value - prev) / scale < config.tolerance:
-                return value
-        prev = value
-        res *= 2
-    achieved = abs(value - prev) / max(value, 1e-300) if prev is not None else math.inf
-    raise AccuracyError(
-        f"Lp quadrature did not converge below rel {config.tolerance:g} "
-        f"at per-axis resolution {cap}", achieved)
+    r2 = float(domain.radius) ** 2 if domain.kind == "euclidean-ball" else None
+
+    def levels():
+        res = config.resolution
+        while res <= cap:
+            total = 0.0
+            for lo, hi in boxes:
+                pts, w = _midpoint_grid(lo, hi, res)
+                vals = np.abs(fn(pts)) ** p
+                if r2 is not None:
+                    vals = np.where(np.einsum("ij,ij->i", pts, pts) < r2, vals, 0.0)
+                total += float(np.sum(vals)) * w
+            yield total ** (1.0 / p)
+            res *= 2
+
+    return _converged(levels(), config.tolerance,
+                      f"Lp quadrature did not converge below rel "
+                      f"{config.tolerance:g} at per-axis resolution {cap}")
 
 
 # -- Hoelder ----------------------------------------------------------------
@@ -296,15 +314,13 @@ def _lex_positive_offsets(d: int, cheb_lo: int, cheb_hi: int):
 
 
 def _offset_band_sum(V: np.ndarray, offsets, h: np.ndarray, expo: float,
-                     p: float, weight_by_cheb=None) -> float:
+                     p: float, weight_by_cheb) -> float:
     """Sum over grid pairs at the given offsets of |V_a - V_b|^p / dist^expo,
     counted for both pair orders (symmetric double integral).  Shells listed
     in weight_by_cheb are scaled (used for half-weight band boundaries)."""
     total = 0.0
     for o in offsets:
-        w = 1.0
-        if weight_by_cheb:
-            w = weight_by_cheb.get(max(abs(c) for c in o), 1.0)
+        w = weight_by_cheb.get(max(abs(c) for c in o), 1.0)
         a_idx, b_idx = [], []
         for j, oj in enumerate(o):
             n = V.shape[j]
@@ -341,7 +357,6 @@ def _sphere_direction_factor(d: int, p: float) -> float:
 
 def slobodeckij_seminorm(fn, theta: float, p: float, domain: DomainSpec,
                          config: QuadratureConfig = DEFAULT_CONFIG,
-                         base_resolution: Optional[int] = None,
                          box: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> float:
     """[g]_{theta,p} = (double integral of |g(x)-g(y)|^p / |x-y|^(theta p + d))^(1/p).
 
@@ -354,10 +369,10 @@ def slobodeckij_seminorm(fn, theta: float, p: float, domain: DomainSpec,
             ~ |grad g(x)|^p S(d,p) rho^((1-theta)p) / ((1-theta)p)
 
     with S(d,p) the spherical average factor; exact when g is locally linear
-    at scale rho.  Refinement stops when two consecutive levels agree to the
-    configured tolerance.  Raises DivergenceError when the band contributions
-    grow under refinement (non-integrable diagonal) and AccuracyError when
-    the levels fail to stabilize.
+    at scale rho.  Refinement stops by the module's stopping rule.  Raises
+    DivergenceError when the band contributions grow under refinement
+    (non-integrable diagonal) and AccuracyError when the levels fail to
+    stabilize.
     """
     if not 0 < theta < 1:
         raise DivergenceError("the double integral diverges outside theta in (0,1)")
@@ -366,51 +381,41 @@ def slobodeckij_seminorm(fn, theta: float, p: float, domain: DomainSpec,
     d = domain.dimension
     lo, hi = box if box is not None else _domain_box(domain)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    res = base_resolution or {1: 128, 2: 32, 3: 8}.get(d, 6)
+    res = {1: 128, 2: 32, 3: 8}.get(d, 6)
     expo = theta * p + d
     tail_pow = (1.0 - theta) * p
     diag_coeff = _local_slope_mass(fn, lo, hi, res, d, p) * \
         _sphere_direction_factor(d, p) / tail_pow
 
     max_level = {1: 12, 2: 6, 3: 4}.get(d, 2)
-    total = 0.0
-    prev_band = None
-    prev_estimate = None
-    for level in range(0, max_level + 1):
-        r = res << level
-        h = (hi - lo) / r
-        V = _grid_values(fn, lo, hi, r, d)
-        vol2 = float(np.prod(h)) ** 2
-        # annulus bookkeeping: level k owns separations in (3 h_k, 6 h_k]
-        # (level 0 owns everything above 3 h_0).  Offset shells at cheb 3 and
-        # 6 straddle a band boundary, so they enter with weight 1/2; the
-        # bands then tile the off-diagonal region without gap or overlap.
-        if level == 0:
-            offsets = _lex_positive_offsets(d, 3, r - 1)
-            weights = {3: 0.5}
-        else:
-            offsets = _lex_positive_offsets(d, 3, 6)
-            weights = {3: 0.5, 6: 0.5}
-        band = _offset_band_sum(V, offsets, h, expo, p, weights) * vol2
-        total += band
-        if level > 0:
-            if prev_band is not None and band > prev_band * 1.01 and band > 1e-12:
+
+    def levels():
+        total = 0.0
+        for level in range(0, max_level + 1):
+            r = res << level
+            h = (hi - lo) / r
+            V = _grid_values(fn, lo, hi, r, d)
+            vol2 = float(np.prod(h)) ** 2
+            # annulus bookkeeping: level k owns separations in (3 h_k, 6 h_k],
+            # level 0 everything above 3 h_0.  Shells at cheb 3 and 6 straddle
+            # a band boundary and enter with weight 1/2, so the bands tile the
+            # off-diagonal region without gap or overlap.
+            offsets = _lex_positive_offsets(d, 3, 6 if level else r - 1)
+            weights = {3: 0.5, 6: 0.5 if level else 1.0}
+            band = _offset_band_sum(V, offsets, h, expo, p, weights) * vol2
+            total += band
+            # the band of level 0 covers a different region; compare from 1 on
+            if level > 1 and band > prev_band * 1.01 and band > 1e-12:
                 raise DivergenceError(
-                    "near-diagonal contributions grow under refinement; the "
-                    "seminorm integral appears to diverge")
+                    "near-diagonal contributions grow under refinement; "
+                    "the seminorm integral appears to diverge")
             prev_band = band
-        # remaining region: separations below 3 h_K per axis
-        rho = 3.0 * math.sqrt(d) * float(np.max(h))
-        estimate = (total + diag_coeff * rho ** tail_pow) ** (1.0 / p)
-        rel_change = math.inf
-        if prev_estimate is not None:
-            scale = max(estimate, prev_estimate, 1e-300)
-            rel_change = abs(estimate - prev_estimate) / scale
-            if rel_change < config.tolerance:
-                return estimate
-        prev_estimate = estimate
-    raise AccuracyError(
-        "seminorm levels did not stabilize to the requested tolerance", rel_change)
+            # remaining region: separations below 3 h_K per axis
+            rho = 3.0 * math.sqrt(d) * float(np.max(h))
+            yield (total + diag_coeff * rho ** tail_pow) ** (1.0 / p)
+
+    return _converged(levels(), config.tolerance, "seminorm levels did not "
+                      "stabilize to the requested tolerance")
 
 
 def slobodeckij_norm(fn, s: float, p: float, domain: DomainSpec,
@@ -444,27 +449,7 @@ def _multi_indices(d: int, order: int) -> List[Tuple[int, ...]]:
     return out
 
 
-# -- radial integrals --------------------------------------------------------
-
 def unit_ball_volume(d: int) -> float:
     from scipy.special import gamma as gamma_fn
     return math.pi ** (d / 2) / gamma_fn(d / 2 + 1)
 
-
-def radial_integral(profile: Callable[[float], float], a: float, b: float,
-                    d: int) -> float:
-    """integral over {a <= |x| <= b} of profile(|x|) dx, via the surface
-    measure d V_d r^(d-1).  Raises DivergenceError on non-convergence."""
-    if not 0 <= a < b:
-        raise NormError("need 0 <= a < b")
-    import warnings
-    from scipy.integrate import IntegrationWarning, quad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, err = quad(lambda r: profile(r) * r ** (d - 1), a, b, limit=200)
-        except IntegrationWarning as exc:
-            raise DivergenceError(f"radial integral did not converge: {exc}")
-    if not math.isfinite(val):
-        raise DivergenceError("radial integral is not finite")
-    return d * unit_ball_volume(d) * val

@@ -262,10 +262,13 @@ _AT_DELTA = {
 
 def recipe_functionals(recipe) -> Tuple[Optional[NormFunctional], ...]:
     """The (E, F) functionals that scan measures recipe with; None for the
-    closed-form sequence and indicator constructions."""
+    closed-form sequence and indicator constructions.  A tent recipe takes
+    the Hoelder norms of exponents alpha and beta (sup for beta = 0)."""
     if recipe.construction == "hoelder-tent-bumps":
-        alpha = float(recipe.params["alpha"])
-        return NormFunctional("hoelder", holder_exponent=alpha), NormFunctional("sup")
+        alpha, beta = float(recipe.params["alpha"]), float(recipe.params["beta"])
+        target = NormFunctional("hoelder", holder_exponent=beta) if beta > 0 \
+            else NormFunctional("sup")
+        return NormFunctional("hoelder", holder_exponent=alpha), target
     if recipe.construction == "smooth-scaled-bumps":
         return NormFunctional("sup"), NormFunctional("sup")
     return None, None

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from rkhs_sandwich import norms
 from rkhs_sandwich import (DivergenceError, NormFunctional, QuadratureConfig,
-                           ball, cube, hoelder_norm, lp_norm, radial_integral,
-                           slobodeckij_norm, slobodeckij_seminorm,
-                           unit_ball_volume, whole_space)
+                           ball, cube, hoelder_norm, lp_norm, slobodeckij_norm,
+                           slobodeckij_seminorm, unit_ball_volume, whole_space)
 from rkhs_sandwich.bumps import (SignedSum, SmoothBumpMember, TentMember,
                                  smooth_family, tent_family)
 from rkhs_sandwich.norms import AccuracyError, default_point_cloud
@@ -79,6 +78,32 @@ class TestLpNorm:
         on_ball = lp_norm(m, 2, ball(2))
         assert lp_norm(m, 2, whole_space(2)) == on_ball
         assert lp_norm(SignedSum([m], [1]), 2, whole_space(2)) == on_ball
+
+    def test_member_crossing_the_sphere_is_cut_to_the_ball(self):
+        # the bump's box [0.25, 0.95]^2 pokes out of the unit disk; the
+        # oracle integrates over the part of the box inside the disk
+        from scipy.integrate import dblquad
+        m = SmoothBumpMember(2, np.array([0.6, 0.6]), 0.35)
+        ref, _ = dblquad(lambda y, x: abs(m(np.array([[x, y]]))[0]),
+                         0.25, 0.95, 0.25, lambda x: min(0.95, math.sqrt(1 - x * x)))
+        val = lp_norm(m, 1, ball(2), QuadratureConfig(tolerance=1e-3))
+        assert val == pytest.approx(ref, rel=1e-3)
+
+    def test_refusal_reports_the_last_relative_change(self):
+        # levels of a fast oscillation keep moving up to the 2-D cap of 2048
+        # points per axis; achieved is the change between the last two
+        # levels, 1024 and 2048, recomputed here from those levels
+        g = lambda X: np.sin(1e4 * X[:, 0])
+        with pytest.raises(AccuracyError) as err:
+            lp_norm(g, 2, cube(2), TIGHT)
+
+        def level(res):
+            pts, w = norms._midpoint_grid(np.zeros(2), np.ones(2), res)
+            return (float(np.sum(np.abs(g(pts)) ** 2)) * w) ** 0.5
+
+        a, b = level(1024), level(2048)
+        assert err.value.achieved > 0
+        assert err.value.achieved == abs(b - a) / max(a, b, 1e-300)
 
 
 class TestHoelderNorm:
@@ -230,13 +255,22 @@ class TestSlobodeckijSeminorm:
                                    config=QuadratureConfig(tolerance=1e-3))
         assert val == pytest.approx(_linear_seminorm(theta, p), rel=5e-3)
 
-    def test_two_dimensional_linear_is_finite_and_stable(self):
-        g = lambda X: X[:, 0]
-        loose = QuadratureConfig(tolerance=1e-3)
-        a = slobodeckij_seminorm(g, 0.5, 2, cube(2), config=loose)
-        b = slobodeckij_seminorm(g, 0.5, 2, cube(2), config=loose,
-                                 base_resolution=48)
-        assert a > 0 and b == pytest.approx(a, rel=2e-2)
+    def test_two_dimensional_linear_matches_difference_oracle(self):
+        # for g(x) = a.x on Q = (0,1)^2, theta = 1/2, p = 2 the double
+        # integral over Q x Q equals, in the difference z = x - y,
+        # int_{[-1,1]^2} (a.z)^2 / |z|^3 (1-|z_1|)(1-|z_2|) dz; the oracle
+        # takes one quadrant at a time so the kink of |z_j| is on an edge
+        from scipy.integrate import dblquad
+        a0, a1 = 1.0, 0.5
+        f = lambda z1, z0: (a0 * z0 + a1 * z1) ** 2 / math.hypot(z0, z1) ** 3 \
+            * (1 - abs(z0)) * (1 - abs(z1))
+        total = 0.0
+        for s0 in (-1, 1):
+            for s1 in (-1, 1):
+                total += dblquad(f, *sorted((0, s0)), *sorted((0, s1)))[0]
+        val = slobodeckij_seminorm(lambda X: a0 * X[:, 0] + a1 * X[:, 1], 0.5,
+                                   2, cube(2), QuadratureConfig(tolerance=1e-3))
+        assert val == pytest.approx(math.sqrt(total), rel=1e-3)
 
     def test_divergence_detected(self):
         # |x - 1/2|^0.3 has a cusp too rough for theta = 0.8 in L2
@@ -270,26 +304,10 @@ class TestSlobodeckijNorm:
         assert val == pytest.approx(1.0, rel=1e-3)
 
 
-class TestRadialIntegral:
-    def test_disk_area(self):
-        assert radial_integral(lambda r: 1.0, 0, 1, 2) == pytest.approx(math.pi)
-
-    def test_interval_length(self):
-        assert radial_integral(lambda r: 1.0, 0, 1, 1) == pytest.approx(2.0)
-
-    def test_lipschitz_tail_formula(self):
-        # profile r^(p - theta p - d) integrates to
-        # d V_d delta^((1-theta)p) / ((1-theta)p)
-        theta, p, d, delta = 0.5, 2.0, 2, 1.0 / 3.0
-        expo = p - theta * p - d
-        val = radial_integral(lambda r: r ** expo, 0, delta, d)
-        expected = d * unit_ball_volume(d) * \
-            delta ** ((1 - theta) * p) / ((1 - theta) * p)
-        assert val == pytest.approx(expected, rel=1e-9)
-
-    def test_divergent_tail(self):
-        with pytest.raises(DivergenceError):
-            radial_integral(lambda r: r ** -3.0, 0, 1, 1)
+class TestUnitBallVolume:
+    def test_interval_and_disk(self):
+        assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-12)
+        assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-12)
 
 
 class TestFunctionalDispatch:

@@ -294,6 +294,18 @@ class TestScanCommand:
         assert lines[0] == "delta,n,ratio,mode"
         assert len(lines) == 4
 
+    def test_hoelder_target_scan_meets_its_prediction(self, capsys):
+        # the target side is measured in its own Hoelder norm, so the ratio
+        # grows at the predicted rate 1/2 (with sup it stayed constant)
+        code, out = _run(capsys, ["scan", "--from", "holder:1/2", "--to",
+                                  "holder:1/4", "--domain", "cube:1",
+                                  "--deltas", "1/4,1/8,1/16",
+                                  "--mc-samples", "8"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["payload"]["predicted_exponent"] == "1/2"
+        assert doc["payload"]["fitted_slope"] == pytest.approx(0.5, abs=0.05)
+
     def test_scan_refuses_feasible_pair(self, capsys):
         code = main(["scan", "--from", "lp:1", "--to", "lp:inf",
                      "--deltas", "1/4,1/8"])
