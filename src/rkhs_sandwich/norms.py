@@ -50,6 +50,17 @@ class DivergenceError(NormError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Settings of the lab's quadratures; each reads only some fields.
+
+    lp_norm reads resolution, tolerance and max_resolution (its per-axis cap
+    is also 16384/2048/256/64 in d = 1/2/3/higher).  slobodeckij_seminorm
+    reads only tolerance: its start grid (128/32/8/6 points per axis in
+    d = 1/2/3/higher) and its level cap (12/6/4/2 doublings) are fixed per
+    dimension, so in 1-D it reaches 128 * 2^12 = 524288 points per axis,
+    past max_resolution.  mc_samples is read by the sign averages of
+    rademacher, not by the quadratures.
+    """
+
     resolution: int = 64          # starting points per axis
     tolerance: float = 1e-5      # relative agreement between refinements
     max_resolution: int = 8192   # per-axis cap before giving up
@@ -159,13 +170,16 @@ def _boxes_disjoint(boxes) -> bool:
 
 
 def _midpoint_grid(lo: np.ndarray, hi: np.ndarray, res: int) -> Tuple[np.ndarray, float]:
+    """The res^d cell midpoints of the box in C order (last axis fastest),
+    one row per point, and the cell volume."""
     d = len(lo)
-    axes = [np.linspace(lo[k] + (hi[k] - lo[k]) / (2 * res),
-                        hi[k] - (hi[k] - lo[k]) / (2 * res), res)
-            for k in range(d)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    pts = np.empty((res,) * d + (d,))
+    for k in range(d):
+        axis = np.linspace(lo[k] + (hi[k] - lo[k]) / (2 * res),
+                           hi[k] - (hi[k] - lo[k]) / (2 * res), res)
+        pts[..., k] = axis.reshape((res,) + (1,) * (d - 1 - k))
     weight = float(np.prod((hi - lo) / res))
-    return pts, weight
+    return pts.reshape(-1, d), weight
 
 
 def lp_norm(fn, p: float, domain: DomainSpec,
@@ -317,18 +331,25 @@ def _offset_band_sum(V: np.ndarray, offsets, h: np.ndarray, expo: float,
                      p: float, weight_by_cheb) -> float:
     """Sum over grid pairs at the given offsets of |V_a - V_b|^p / dist^expo,
     counted for both pair orders (symmetric double integral).  Shells listed
-    in weight_by_cheb are scaled (used for half-weight band boundaries)."""
+    in weight_by_cheb are scaled (used for half-weight band boundaries).
+    Each offset's |V_a - V_b|^p is formed in place in a contiguous view of
+    one buffer: the same operations and sum as on fresh arrays, without
+    allocating them."""
     total = 0.0
+    buf = np.empty(V.size)
     for o in offsets:
         w = weight_by_cheb.get(max(abs(c) for c in o), 1.0)
-        a_idx, b_idx = [], []
-        for j, oj in enumerate(o):
-            n = V.shape[j]
+        a_idx, b_idx, shape = [], [], []
+        for n, oj in zip(V.shape, o):
             a_idx.append(slice(max(oj, 0), n + min(oj, 0)))
             b_idx.append(slice(max(-oj, 0), n + min(-oj, 0)))
-        diff = V[tuple(a_idx)] - V[tuple(b_idx)]
+            shape.append(n - abs(oj))
+        diff = buf[:math.prod(shape)].reshape(shape)
+        np.subtract(V[tuple(a_idx)], V[tuple(b_idx)], out=diff)
+        np.abs(diff, out=diff)
+        diff **= p
         dist = math.sqrt(sum((oj * hj) ** 2 for oj, hj in zip(o, h)))
-        total += 2.0 * w * float(np.sum(np.abs(diff) ** p)) / dist ** expo
+        total += 2.0 * w * float(np.sum(diff)) / dist ** expo
     return total
 
 
@@ -369,7 +390,9 @@ def slobodeckij_seminorm(fn, theta: float, p: float, domain: DomainSpec,
             ~ |grad g(x)|^p S(d,p) rho^((1-theta)p) / ((1-theta)p)
 
     with S(d,p) the spherical average factor; exact when g is locally linear
-    at scale rho.  Refinement stops by the module's stopping rule.  Raises
+    at scale rho.  The double integral runs over box, by default the unit
+    cube of a cube domain; any other domain raises NormError unless a box is
+    given.  Refinement stops by the module's stopping rule.  Raises
     DivergenceError when the band contributions grow under refinement
     (non-integrable diagonal) and AccuracyError when the levels fail to
     stabilize.
@@ -378,6 +401,9 @@ def slobodeckij_seminorm(fn, theta: float, p: float, domain: DomainSpec,
         raise DivergenceError("the double integral diverges outside theta in (0,1)")
     if p < 1 or not math.isfinite(p):
         raise NormError("integrability exponent must be finite and >= 1")
+    if box is None and domain.kind != "unit-cube":
+        raise NormError("the seminorm integrates over boxes only; pass box= "
+                        f"for a {domain.kind} domain")
     d = domain.dimension
     lo, hi = box if box is not None else _domain_box(domain)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)

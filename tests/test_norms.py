@@ -14,7 +14,7 @@ from rkhs_sandwich import (DivergenceError, NormFunctional, QuadratureConfig,
                            slobodeckij_seminorm, unit_ball_volume, whole_space)
 from rkhs_sandwich.bumps import (SignedSum, SmoothBumpMember, TentMember,
                                  smooth_family, tent_family)
-from rkhs_sandwich.norms import AccuracyError, default_point_cloud
+from rkhs_sandwich.norms import AccuracyError, NormError, default_point_cloud
 
 TIGHT = QuadratureConfig(tolerance=1e-6)
 
@@ -239,7 +239,77 @@ def _linear_seminorm(theta: float, p: float) -> float:
     return (2.0 / (a * (a + 1.0))) ** (1.0 / p)
 
 
+def _fresh_band_sum(V, offsets, h, expo, p, weight_by_cheb):
+    """A fresh array for each offset's V_a - V_b, its abs and its power: the
+    oracle for the band sum formed in place."""
+    total = 0.0
+    for o in offsets:
+        w = weight_by_cheb.get(max(abs(c) for c in o), 1.0)
+        a_idx, b_idx = [], []
+        for j, oj in enumerate(o):
+            n = V.shape[j]
+            a_idx.append(slice(max(oj, 0), n + min(oj, 0)))
+            b_idx.append(slice(max(-oj, 0), n + min(-oj, 0)))
+        diff = V[tuple(a_idx)] - V[tuple(b_idx)]
+        dist = math.sqrt(sum((oj * hj) ** 2 for oj, hj in zip(o, h)))
+        total += 2.0 * w * float(np.sum(np.abs(diff) ** p)) / dist ** expo
+    return total
+
+
+def _meshgrid_midpoints(lo, hi, res):
+    """The cell midpoints by meshgrid and stack: the oracle for the grid
+    filled axis by axis."""
+    d = len(lo)
+    axes = [np.linspace(lo[k] + (hi[k] - lo[k]) / (2 * res),
+                        hi[k] - (hi[k] - lo[k]) / (2 * res), res)
+            for k in range(d)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return pts, float(np.prod((hi - lo) / res))
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4.5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_band_sum_equals_fresh_arrays(self, d, p):
+        # the seminorm's level-0 offsets on its start grid and the band
+        # (cheb 3..6) on the grid of level 1, for a function of mean 1000
+        lo, hi = np.zeros(d), np.ones(d)
+        g = lambda X: 1000.0 + X @ np.linspace(0.3, -0.7, d) + \
+            0.1 * np.sin(7.0 * X.sum(axis=1))
+        res = {1: 128, 2: 32, 3: 8}[d]
+        expo = 0.5 * p + d
+        for r, offsets, weights in (
+                (res, norms._lex_positive_offsets(d, 3, res - 1), {3: 0.5, 6: 1.0}),
+                (2 * res, norms._lex_positive_offsets(d, 3, 6), {3: 0.5, 6: 0.5})):
+            V = norms._grid_values(g, lo, hi, r, d)
+            h = (hi - lo) / r
+            assert norms._offset_band_sum(V, offsets, h, expo, p, weights) == \
+                _fresh_band_sum(V, offsets, h, expo, p, weights)
+
+    # 64^4 points would take about 1 GB for the two grids; d = 4 stops at 9
+    @pytest.mark.parametrize("d,res", [(d, res) for d in (1, 2, 3, 4)
+                                       for res in (5, 9, 64) if res ** d < 1 << 20])
+    def test_midpoint_grid_equals_meshgrid(self, d, res):
+        lo, hi = np.linspace(-0.3, 0.2, d), np.linspace(0.7, 1.9, d)
+        pts, w = norms._midpoint_grid(lo, hi, res)
+        ref_pts, ref_w = _meshgrid_midpoints(lo, hi, res)
+        assert np.array_equal(pts, ref_pts) and w == ref_w
+
+
 class TestSlobodeckijSeminorm:
+    def test_ball_without_box_is_refused(self):
+        # a ball is no box: its bounding square would add pairs outside it
+        m = SmoothBumpMember(2, np.array([0.6, 0.0]), 0.35)
+        with pytest.raises(NormError, match="boxes only"):
+            slobodeckij_seminorm(m, 0.5, 2, ball(2),
+                                 QuadratureConfig(tolerance=1e-3))
+
+    def test_ball_with_a_box_integrates_over_the_box(self):
+        g = lambda X: X[:, 0]
+        box = (np.zeros(1), np.ones(1))
+        assert slobodeckij_seminorm(g, 0.5, 2, ball(1), box=box) == \
+            slobodeckij_seminorm(g, 0.5, 2, cube(1))
+
     def test_constant_is_exactly_zero(self):
         val = slobodeckij_seminorm(lambda X: np.full(len(X), 3.0), 0.5, 2,
                                    cube(1))
