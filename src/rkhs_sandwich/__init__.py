@@ -21,7 +21,7 @@ from .bumps import (BumpFamily, SignedSum, SmoothBump, TentMember, eval_bump,
                     tent_family)
 from .norms import (AccuracyError, DivergenceError, NormFunctional,
                     QuadratureConfig, hoelder_norm, lp_norm, slobodeckij_norm,
-                    slobodeckij_seminorm, unit_ball_volume)
+                    slobodeckij_seminorm)
 from .rademacher import (RademacherEstimate, ScanSeries, rademacher_norm, scan,
                          seq_l2_norm)
 from .irkbs import (DecompositionReport, SeriesSpec, check_applicability,

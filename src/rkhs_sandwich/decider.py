@@ -150,11 +150,12 @@ def _smooth_obstruction(s, t, p1, p2, d: int, construction: str,
     type_part = pos_part(d_ / p1 - d_ / 2)
     cotype_part = pos_part(d_ / 2 - d_ / p2)
     ineq = Inequality(gap, type_part + cotype_part, ">", desc)
-    if type_part > gap:
-        return ObstructionRecipe(ineq, construction, type_part - gap, "type2",
-                                 params={"s": s, "t": t, "p1": p1, "p2": p2, "d": d})
-    return ObstructionRecipe(ineq, construction, cotype_part - gap, "cotype2",
-                             params={"s": s, "t": t, "p1": p1, "p2": p2, "d": d})
+    params = {"s": s, "t": t, "p1": p1, "p2": p2, "d": d}
+    for part, mode in ((type_part, "type2"), (cotype_part, "cotype2")):
+        if part > gap:
+            return ObstructionRecipe(ineq, construction, part - gap, mode, params=params)
+    # both parts are positive, so p1 < 2 < p2 and gap < d/p1 - d/p2
+    raise DecisionError("embedding E -> F fails: s - t < d/p1 - d/p2")
 
 
 def _feasible_smooth(E: SpaceSpec, F: SpaceSpec, rule: str, interval: UInterval,

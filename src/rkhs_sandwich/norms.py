@@ -3,9 +3,9 @@
 Three numerical strategies, chosen per norm:
   * Lp norms of derivatives: adaptive midpoint tensor quadrature over the
     support boxes, doubling the resolution per level.
-  * Slobodeckij seminorms: midpoint rule over non-touching cell pairs, with
-    the diagonal band refined recursively and the residual band bounded by a
-    local-Lipschitz tail integral that is added as an explicit correction.
+  * Slobodeckij seminorms: Gauss rules in the difference z = y - x, with
+    Gauss-Jacobi in |z| absorbing the diagonal singularity, over a fixed
+    sequence of node counts.
   * Hoelder norms: a certified lower bound over a finite point cloud (every
     reported quotient is attained by a concrete pair).  A k-d tree selects
     the pairs: a pair at distance >= r has quotient <= 2 sup|g| / r^alpha,
@@ -14,13 +14,14 @@ Three numerical strategies, chosen per norm:
     over all pairs.
 
 Both quadratures stop by one rule (_converged): they return the first
-level's estimate v whose relative change |v - prev| / max(v, prev, 1e-300)
-from the level before is below the tolerance; when the levels run out,
-AccuracyError carries the last such change.
+level's or rule's estimate v whose relative change |v - prev| /
+max(v, prev, 1e-300) from the one before is below the tolerance; when they
+run out, AccuracyError carries the last such change.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ class NormError(ValueError):
 
 class AccuracyError(NormError):
     """Raised when the requested tolerance cannot be certified; achieved is
-    the last relative change between refinement levels (inf after one level)."""
+    the last relative change between refinements (inf after one or none)."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved tolerance ~{achieved:.3e})")
@@ -54,10 +55,8 @@ class QuadratureConfig:
 
     lp_norm reads resolution, tolerance and max_resolution (its per-axis cap
     is also 16384/2048/256/64 in d = 1/2/3/higher).  slobodeckij_seminorm
-    reads only tolerance: its start grid (128/32/8/6 points per axis in
-    d = 1/2/3/higher) and its level cap (12/6/4/2 doublings) are fixed per
-    dimension, so in 1-D it reaches 128 * 2^12 = 524288 points per axis,
-    past max_resolution.  mc_samples is read by the sign averages of
+    reads only tolerance: its rules grow along a fixed node sequence up to a
+    fixed cap per dimension.  mc_samples is read by the sign averages of
     rademacher, not by the quadratures.
     """
 
@@ -134,16 +133,17 @@ def _domain_box(domain: DomainSpec) -> Tuple[np.ndarray, np.ndarray]:
     raise NormError(f"no integration box for domain kind {domain.kind!r}")
 
 
-def _support_boxes(fn, domain: DomainSpec) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+def _support_boxes(fn, domain: DomainSpec,
+                   clip=None) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
     """fn's support boxes (a SignedSum's, or a member's one) clipped to the
-    domain's box, left unclipped on R^d, without those that miss the domain;
-    None when fn declares no support."""
+    box clip, by default the domain's box, left unclipped on R^d, without
+    those that miss it; None when fn declares no support."""
     box = getattr(fn, "support_box", None)
     boxes = getattr(fn, "support_boxes", None if box is None else [box])
     if boxes is None:
         return None
     try:
-        lo, hi = _domain_box(domain)
+        lo, hi = clip if clip is not None else _domain_box(domain)
     except (NormError, AttributeError):
         lo, hi = -np.inf, np.inf
     boxes = [(np.maximum(blo, lo), np.minimum(bhi, hi)) for blo, bhi in boxes]
@@ -308,72 +308,21 @@ def _max_quotient(points: np.ndarray, vals: np.ndarray, i: np.ndarray,
 
 # -- Slobodeckij -------------------------------------------------------------
 
-def _grid_values(fn, lo, hi, res: int, d: int) -> np.ndarray:
-    pts, _ = _midpoint_grid(lo, hi, res)
-    return np.asarray(fn(pts), dtype=float).reshape((res,) * d)
+# Gauss nodes per axis of the seminorm's successive rules, and the largest
+# rule each dimension runs: a rule evaluates g at about d n^(2d) points, so
+# d >= 4 runs none and refuses at once
+_SEMINORM_NODES = (8, 12, 16, 24, 32, 48, 64, 96, 128)
+_SEMINORM_CAP = {1: 128, 2: 64, 3: 16}
+# points of g evaluated per call (bounds the seminorm's arrays)
+_SEMINORM_CHUNK = 1 << 17
 
 
-def _lex_positive_offsets(d: int, cheb_lo: int, cheb_hi: int):
-    """Integer offset vectors with cheb_lo <= max|o_j| <= cheb_hi whose first
-    nonzero component is positive (one representative per +-o pair)."""
-    out = []
-    for o in itertools.product(range(-cheb_hi, cheb_hi + 1), repeat=d):
-        m = max(abs(c) for c in o)
-        if not cheb_lo <= m <= cheb_hi:
-            continue
-        lead = next(c for c in o if c != 0)
-        if lead > 0:
-            out.append(o)
-    return out
-
-
-def _offset_band_sum(V: np.ndarray, offsets, h: np.ndarray, expo: float,
-                     p: float, weight_by_cheb) -> float:
-    """Sum over grid pairs at the given offsets of |V_a - V_b|^p / dist^expo,
-    counted for both pair orders (symmetric double integral).  Shells listed
-    in weight_by_cheb are scaled (used for half-weight band boundaries).
-    Each offset's |V_a - V_b|^p is formed in place in a contiguous view of
-    one buffer: the same operations and sum as on fresh arrays, without
-    allocating them."""
-    total = 0.0
-    buf = np.empty(V.size)
-    for o in offsets:
-        w = weight_by_cheb.get(max(abs(c) for c in o), 1.0)
-        a_idx, b_idx, shape = [], [], []
-        for n, oj in zip(V.shape, o):
-            a_idx.append(slice(max(oj, 0), n + min(oj, 0)))
-            b_idx.append(slice(max(-oj, 0), n + min(-oj, 0)))
-            shape.append(n - abs(oj))
-        diff = buf[:math.prod(shape)].reshape(shape)
-        np.subtract(V[tuple(a_idx)], V[tuple(b_idx)], out=diff)
-        np.abs(diff, out=diff)
-        diff **= p
-        dist = math.sqrt(sum((oj * hj) ** 2 for oj, hj in zip(o, h)))
-        total += 2.0 * w * float(np.sum(diff)) / dist ** expo
-    return total
-
-
-def _local_slope_mass(fn, lo, hi, res: int, d: int, p: float) -> float:
-    """Integral of |grad g|^p by central differences on the base grid."""
-    pts, _ = _midpoint_grid(lo, hi, res)
-    h = float(np.min((hi - lo) / res))
-    grad_sq = np.zeros(len(pts))
-    for j in range(d):
-        step = np.zeros(d)
-        step[j] = h / 2
-        gj = (np.asarray(fn(pts + step)) - np.asarray(fn(pts - step))) / h
-        grad_sq += gj ** 2
-    vol = float(np.prod((hi - lo) / res))
-    return float(np.sum(np.sqrt(grad_sq) ** p)) * vol
-
-
-def _sphere_direction_factor(d: int, p: float) -> float:
-    """Surface integral over the unit sphere of |e . omega|^p."""
-    from scipy.special import gamma as gamma_fn
-    surface = d * unit_ball_volume(d)
-    mean = gamma_fn((p + 1) / 2) * gamma_fn(d / 2) / \
-        (math.sqrt(math.pi) * gamma_fn((p + d) / 2))
-    return surface * mean
+def _tensor_rule(axes) -> Tuple[np.ndarray, np.ndarray]:
+    """The tensor product of 1-D rules [(nodes, weights), ...] in C order:
+    the points, one per row, and their weights."""
+    pts = np.stack(np.meshgrid(*[x for x, _ in axes], indexing="ij"), axis=-1)
+    wts = functools.reduce(np.multiply.outer, [w for _, w in axes])
+    return pts.reshape(-1, len(axes)), np.reshape(wts, -1)
 
 
 def slobodeckij_seminorm(fn, theta: float, p: float, domain: DomainSpec,
@@ -381,21 +330,27 @@ def slobodeckij_seminorm(fn, theta: float, p: float, domain: DomainSpec,
                          box: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> float:
     """[g]_{theta,p} = (double integral of |g(x)-g(y)|^p / |x-y|^(theta p + d))^(1/p).
 
-    Multilevel midpoint scheme: level k uses a grid of spacing h_k = h_0/2^k
-    and accounts for pairs whose separation lies in the band (3 h_k, 6 h_k]
-    (level 0 takes everything above 3 h_0).  The remaining near-diagonal
-    region |y-x| <= rho_K is estimated to first order from the local slope:
+    The double integral runs over box Q, by default the unit cube of a cube
+    domain; any other domain raises NormError unless a box is given.  In
+    z = y - x it is the integral of |z|^-(d + theta p) G(z) over the
+    difference box [-L, L], with G(z) = int_{O(z)} |g(x + z) - g(x)|^p dx
+    and O(z) = Q cap (Q - z).  As G(-z) = G(z), the rule doubles the d
+    pyramids over the faces z_j = L_j (Duffy, SIAM J. Numer. Anal. 19,
+    1982).  With z = t w there, G(t w) = t^p (smooth) for smooth g, so t
+    takes Gauss-Jacobi with weight t^(p (1 - theta) - 1) (Golub & Welsch,
+    Math. Comp. 23, 1969); w takes Gauss-Legendre with each face axis split
+    at 0, where G has a kink, and so does x, over O(z) or, when fn declares
+    disjoint support boxes B_i, only where the integrand can be nonzero:
+    sum_i A_i + sum_i B_i(z) - sum_{i,k} A_i cap B_k(z), with
+    A_i = B_i cap O(z) and B_i(z) = (B_i - z) cap O(z).
 
-        g(y)-g(x) ~ grad g(x).(y-x)  =>  inner integral
-            ~ |grad g(x)|^p S(d,p) rho^((1-theta)p) / ((1-theta)p)
-
-    with S(d,p) the spherical average factor; exact when g is locally linear
-    at scale rho.  The double integral runs over box, by default the unit
-    cube of a cube domain; any other domain raises NormError unless a box is
-    given.  Refinement stops by the module's stopping rule.  Raises
-    DivergenceError when the band contributions grow under refinement
-    (non-integrable diagonal) and AccuracyError when the levels fail to
-    stabilize.
+    Rule n takes n nodes per x axis and n/2 in t and on each half of a face
+    axis (G averages g, so it is the smoother), for n along _SEMINORM_NODES
+    up to the dimension's cap.  The rules stop by the module's stopping
+    rule, with AccuracyError past the cap, as for a divergent seminorm.  The
+    error estimate assumes g smooth on each support box (on Q if fn
+    declares none): for a kink such as |x - 0.3| two rules can agree to
+    well below the error they share.
     """
     if not 0 < theta < 1:
         raise DivergenceError("the double integral diverges outside theta in (0,1)")
@@ -407,51 +362,88 @@ def slobodeckij_seminorm(fn, theta: float, p: float, domain: DomainSpec,
     d = domain.dimension
     lo, hi = box if box is not None else _domain_box(domain)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    res = {1: 128, 2: 32, 3: 8}.get(d, 6)
-    expo = theta * p + d
-    tail_pow = (1.0 - theta) * p
-    diag_coeff = _local_slope_mass(fn, lo, hi, res, d, p) * \
-        _sphere_direction_factor(d, p) / tail_pow
+    boxes = _support_boxes(fn, domain, (lo, hi))
+    if boxes == []:
+        return 0.0
+    if boxes and not _boxes_disjoint(boxes):
+        boxes = None
+    from scipy.special import roots_sh_jacobi, roots_sh_legendre
+    beta = p * (1.0 - theta) - 1.0
+    expo = d + theta * p
+    side = hi - lo
+    cap = _SEMINORM_CAP.get(d, 0)
 
-    max_level = {1: 12, 2: 6, 3: 4}.get(d, 2)
+    def rules():
+        for n in (n for n in _SEMINORM_NODES if n <= cap):
+            t, lam = roots_sh_jacobi(n // 2, beta + 1.0, beta + 1.0)  # t^beta on [0, 1]
+            u, om = roots_sh_legendre(n // 2)
+            halves = np.concatenate([u - 1.0, u]), np.tile(om, 2)  # [-1, 0] and [0, 1]
+            x_rule = _tensor_rule([roots_sh_legendre(n)] * d)
+            total = 0.0
+            for j in range(d):
+                # face j: w_j = L_j, with the Jacobian's L_j as its weight
+                w, w_wt = _tensor_rule([(side[i:i + 1],) * 2 if i == j else
+                                        (halves[0] * side[i], halves[1] * side[i])
+                                        for i in range(d)])
+                z = (t[:, None, None] * w).reshape(-1, d)
+                z_wt = np.outer(lam * t ** -p, w_wt * np.linalg.norm(w, axis=1) ** -expo)
+                total += _difference_sum(fn, p, lo, hi, boxes, z, z_wt.reshape(-1),
+                                         x_rule)
+            yield (2.0 * total) ** (1.0 / p)
 
-    def levels():
-        total = 0.0
-        for level in range(0, max_level + 1):
-            r = res << level
-            h = (hi - lo) / r
-            V = _grid_values(fn, lo, hi, r, d)
-            vol2 = float(np.prod(h)) ** 2
-            # annulus bookkeeping: level k owns separations in (3 h_k, 6 h_k],
-            # level 0 everything above 3 h_0.  Shells at cheb 3 and 6 straddle
-            # a band boundary and enter with weight 1/2, so the bands tile the
-            # off-diagonal region without gap or overlap.
-            offsets = _lex_positive_offsets(d, 3, 6 if level else r - 1)
-            weights = {3: 0.5, 6: 0.5 if level else 1.0}
-            band = _offset_band_sum(V, offsets, h, expo, p, weights) * vol2
-            total += band
-            # the band of level 0 covers a different region; compare from 1 on
-            if level > 1 and band > prev_band * 1.01 and band > 1e-12:
-                raise DivergenceError(
-                    "near-diagonal contributions grow under refinement; "
-                    "the seminorm integral appears to diverge")
-            prev_band = band
-            # remaining region: separations below 3 h_K per axis
-            rho = 3.0 * math.sqrt(d) * float(np.max(h))
-            yield (total + diag_coeff * rho ** tail_pow) ** (1.0 / p)
+    return _converged(rules(), config.tolerance,
+                      f"seminorm rules did not agree to rel {config.tolerance:g} "
+                      f"within {cap} nodes per axis")
 
-    return _converged(levels(), config.tolerance, "seminorm levels did not "
-                      "stabilize to the requested tolerance")
+
+def _difference_sum(fn, p: float, lo, hi, boxes, z: np.ndarray,
+                    z_wt: np.ndarray, x_rule) -> float:
+    """sum_k z_wt[k] G(z[k]), with the x rule on each region box of each
+    difference, at most _SEMINORM_CHUNK points of g per call."""
+    x_pts, x_wt = x_rule
+    d = len(lo)
+    if boxes is None:
+        signs = np.ones(1)
+    else:
+        b_lo, b_hi = (np.array(ends) for ends in zip(*boxes))
+        m = len(boxes)
+        signs = np.repeat([1.0, 1.0, -1.0], [m, m, m * m])
+    z_step = max(1, _SEMINORM_CHUNK // len(signs))
+    r_step = max(1, _SEMINORM_CHUNK // len(x_pts))
+    total = 0.0
+    for start in range(0, len(z), z_step):
+        zc = z[start:start + z_step]
+        # region boxes per difference: O, or the A_i, B_i(z) and A_i cap B_k(z)
+        r_lo = np.maximum(lo, lo - zc)[:, None]
+        r_hi = np.minimum(hi, hi - zc)[:, None]
+        if boxes is not None:
+            a_lo, a_hi = np.maximum(b_lo, r_lo), np.minimum(b_hi, r_hi)
+            s_lo = np.maximum(b_lo - zc[:, None], r_lo)
+            s_hi = np.minimum(b_hi - zc[:, None], r_hi)
+            r_lo = np.concatenate([a_lo, s_lo, np.maximum(
+                a_lo[:, :, None], s_lo[:, None]).reshape(len(zc), -1, d)], axis=1)
+            r_hi = np.concatenate([a_hi, s_hi, np.minimum(
+                a_hi[:, :, None], s_hi[:, None]).reshape(len(zc), -1, d)], axis=1)
+        width = r_hi - r_lo
+        zi, ki = np.nonzero(np.all(width > 0, axis=2))
+        rows_lo, rows_width, rows_z = r_lo[zi, ki], width[zi, ki], zc[zi]
+        rows_wt = z_wt[start + zi] * signs[ki] * np.prod(rows_width, axis=1)
+        for r in range(0, len(zi), r_step):
+            rows = slice(r, r + r_step)
+            X = rows_lo[rows, None] + rows_width[rows, None] * x_pts
+            Y = X + rows_z[rows, None]
+            diff = np.abs(fn(Y.reshape(-1, d)) - fn(X.reshape(-1, d))) ** p
+            total += float(rows_wt[rows] @ (diff.reshape(len(X), -1) @ x_wt))
+    return total
 
 
 def slobodeckij_norm(fn, s: float, p: float, domain: DomainSpec,
                      config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Full scale norm: max over |alpha| <= floor(s) of the derivative Lp
-    norms, plus (for fractional s) the theta-seminorms of the top order."""
-    m = int(math.floor(s))
-    theta = s - m
-    if abs(theta) < 1e-12:
-        m, theta = int(round(s)), 0.0
+    norms, plus (for fractional s) the theta-seminorms of the top order.  An
+    s within 1e-12 of an integer, on either side, counts as that integer."""
+    m = round(s) if abs(s - round(s)) < 1e-12 else math.floor(s)
+    theta = 0.0 if abs(s - m) < 1e-12 else s - m
     d = domain.dimension
     best = 0.0
     for order in range(m + 1):
@@ -473,9 +465,4 @@ def _multi_indices(d: int, order: int) -> List[Tuple[int, ...]]:
         for rest in _multi_indices(d - 1, order - head):
             out.append((head,) + rest)
     return out
-
-
-def unit_ball_volume(d: int) -> float:
-    from scipy.special import gamma as gamma_fn
-    return math.pi ** (d / 2) / gamma_fn(d / 2 + 1)
 

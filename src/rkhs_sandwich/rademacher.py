@@ -145,6 +145,16 @@ def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
     numerator (each tent peaks at its center, which the cloud holds), so up
     to sampling it can only overstate the true ratio.
 
+    Against sup, the tent ratio does not depend on the signs: the tents
+    (r^alpha - |x-c|^alpha)_+, r^alpha = delta/3, are packed delta apart in
+    |x-y|^alpha, so their centers are at least 3^(1/alpha) r apart.  At
+    depths a, b <= r inside two supports, |g| <= a^alpha, b^alpha (t^alpha
+    is subadditive), so a quotient across bumps is at most (a^alpha +
+    b^alpha) / ((3^(1/alpha) - 2) r + a + b)^alpha <= 2/3, its value at
+    a = b = r.  Within a bump it is at most 1, attained by a center and its
+    witness.  Every pattern's Hoelder norm is 1 and the ratio is
+    sqrt(n) delta/3; scan still evaluates every pattern it draws.
+
     The fitted slope estimates recipe.predicted_exponent; the log axis is n
     for sequence-space recipes and 1/delta otherwise.  One sign stream,
     seeded once from seed, runs through every delta in order, so the signs

@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rkhs_sandwich
-from rkhs_sandwich import (INF, UInterval, Verdict, admissible_u_interval, besov,
-                           c_infinity, chain_holds, cube, decide,
+from rkhs_sandwich import (INF, UInterval, Verdict, admissible_u_interval, ball,
+                           besov, c_infinity, chain_holds, cube, decide,
                            decide_bounded_target, holder, lebesgue_lp,
                            mixed_sobolev, sequence_lp, slobodeckij,
                            triebel_lizorkin, whole_space, xr)
 from rkhs_sandwich.decider import (DecisionError, Inequality,
                                    ObstructionRecipe)
-from rkhs_sandwich.spaces import coherent_closure, finite_metric
+from rkhs_sandwich.spaces import (BOUNDED_TARGETS, ValidationError,
+                                  coherent_closure, finite_metric)
 
 
 class TestSequencePairs:
@@ -113,6 +114,13 @@ class TestSmoothScalePairs:
                    slobodeckij(1, 2, cube(2)))
         assert v.status == "Infeasible"
         assert v.obstruction.construction == "smooth-scaled-bumps"
+
+    def test_gap_below_the_embedding_line_with_no_single_ratio(self):
+        # d/p1 - d/2 = d/2 - d/p2 = 1/6 <= s - t = 1/4 < d/p1 - d/p2 = 1/3:
+        # E does not embed in F, and neither ratio alone diverges
+        with pytest.raises(DecisionError, match="embedding E -> F fails"):
+            decide(slobodeckij(Fraction(1, 2), Fraction(3, 2), cube(1)),
+                   slobodeckij(Fraction(1, 4), 3, cube(1)))
 
     def test_zero_target_suppresses_necessity(self):
         v = decide(slobodeckij(Fraction(1, 4), 1, cube(2)),
@@ -268,3 +276,61 @@ class TestInvariantsAndRecipes:
         assert v.status == "Borderline"
         # any positive perturbation of s tips it to Feasible
         assert decide(E2, F).status == "Feasible"
+
+
+_SMOOTH_FAMILIES = st.tuples(st.sampled_from(["slobodeckij", "besov", "triebel-lizorkin"]),
+                             st.sampled_from([1, Fraction(3, 2), 2, 3, 4, 8]),
+                             st.sampled_from([1, 2, 3, INF]))
+_QUARTERS = st.integers(min_value=0, max_value=24).map(lambda k: Fraction(k, 4))
+# (d, domain, source family, bounded target or (target family, its s))
+_QUERIES = st.tuples(st.integers(min_value=1, max_value=4),
+                     st.sampled_from(["cube", "ball"]), _SMOOTH_FAMILIES,
+                     st.one_of(st.sampled_from(BOUNDED_TARGETS),
+                               st.tuples(_SMOOTH_FAMILIES, _QUARTERS)))
+_RANK = {"Infeasible": 0, "Borderline": 1, "Feasible": 2}
+
+
+def _smooth_space(family, s, dom):
+    kind, p, q = family
+    if kind == "slobodeckij":
+        return slobodeckij(s, p, dom)
+    return (besov if kind == "besov" else triebel_lizorkin)(s, p, q, dom)
+
+
+def _verdict(query, s):
+    """The query's verdict at source smoothness s, or None where the query is
+    not posed (a descriptor out of its family, or no embedding E -> F)."""
+    d, shape, source, target = query
+    dom = cube(d) if shape == "cube" else ball(d)
+    try:
+        E = _smooth_space(source, s, dom)
+        if isinstance(target, str):
+            return decide_bounded_target(E, target)
+        return decide(E, _smooth_space(target[0], target[1], dom))
+    except (ValidationError, DecisionError):
+        return None
+
+
+class TestVerdictProperties:
+    @given(_QUERIES, _QUARTERS)
+    @settings(max_examples=300, deadline=None)
+    def test_every_verdict_carries_its_evidence(self, query, s):
+        v = _verdict(query, s)
+        if v is None:
+            return
+        if v.status == "Feasible":
+            assert v.witness is not None and v.witness.replay()
+        elif v.status == "Infeasible":
+            assert v.obstruction.predicted_exponent > 0
+        else:
+            assert v.status in ("Borderline", "Undetermined") and v.reason
+
+    @given(_QUERIES, _QUARTERS, st.integers(min_value=1, max_value=8))
+    @settings(max_examples=300, deadline=None)
+    def test_more_source_smoothness_never_lowers_the_verdict(self, query, s, k):
+        # the order Infeasible < Borderline < Feasible; Undetermined is skipped
+        low, high = _verdict(query, s), _verdict(query, s + Fraction(k, 4))
+        if low is None or high is None or \
+                "Undetermined" in (low.status, high.status):
+            return
+        assert _RANK[high.status] >= _RANK[low.status], (low, high)

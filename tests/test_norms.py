@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rkhs_sandwich import norms
 from rkhs_sandwich import (DivergenceError, NormFunctional, QuadratureConfig,
                            ball, cube, hoelder_norm, lp_norm, slobodeckij_norm,
-                           slobodeckij_seminorm, unit_ball_volume, whole_space)
+                           slobodeckij_seminorm, whole_space)
 from rkhs_sandwich.bumps import (SignedSum, SmoothBumpMember, TentMember,
                                  smooth_family, tent_family)
 from rkhs_sandwich.norms import AccuracyError, NormError, default_point_cloud
@@ -239,23 +239,6 @@ def _linear_seminorm(theta: float, p: float) -> float:
     return (2.0 / (a * (a + 1.0))) ** (1.0 / p)
 
 
-def _fresh_band_sum(V, offsets, h, expo, p, weight_by_cheb):
-    """A fresh array for each offset's V_a - V_b, its abs and its power: the
-    oracle for the band sum formed in place."""
-    total = 0.0
-    for o in offsets:
-        w = weight_by_cheb.get(max(abs(c) for c in o), 1.0)
-        a_idx, b_idx = [], []
-        for j, oj in enumerate(o):
-            n = V.shape[j]
-            a_idx.append(slice(max(oj, 0), n + min(oj, 0)))
-            b_idx.append(slice(max(-oj, 0), n + min(-oj, 0)))
-        diff = V[tuple(a_idx)] - V[tuple(b_idx)]
-        dist = math.sqrt(sum((oj * hj) ** 2 for oj, hj in zip(o, h)))
-        total += 2.0 * w * float(np.sum(np.abs(diff) ** p)) / dist ** expo
-    return total
-
-
 def _meshgrid_midpoints(lo, hi, res):
     """The cell midpoints by meshgrid and stack: the oracle for the grid
     filled axis by axis."""
@@ -268,24 +251,6 @@ def _meshgrid_midpoints(lo, hi, res):
 
 
 class TestInPlaceKernels:
-    @pytest.mark.parametrize("p", [1, 2, 3, 4.5])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_band_sum_equals_fresh_arrays(self, d, p):
-        # the seminorm's level-0 offsets on its start grid and the band
-        # (cheb 3..6) on the grid of level 1, for a function of mean 1000
-        lo, hi = np.zeros(d), np.ones(d)
-        g = lambda X: 1000.0 + X @ np.linspace(0.3, -0.7, d) + \
-            0.1 * np.sin(7.0 * X.sum(axis=1))
-        res = {1: 128, 2: 32, 3: 8}[d]
-        expo = 0.5 * p + d
-        for r, offsets, weights in (
-                (res, norms._lex_positive_offsets(d, 3, res - 1), {3: 0.5, 6: 1.0}),
-                (2 * res, norms._lex_positive_offsets(d, 3, 6), {3: 0.5, 6: 0.5})):
-            V = norms._grid_values(g, lo, hi, r, d)
-            h = (hi - lo) / r
-            assert norms._offset_band_sum(V, offsets, h, expo, p, weights) == \
-                _fresh_band_sum(V, offsets, h, expo, p, weights)
-
     # 64^4 points would take about 1 GB for the two grids; d = 4 stops at 9
     @pytest.mark.parametrize("d,res", [(d, res) for d in (1, 2, 3, 4)
                                        for res in (5, 9, 64) if res ** d < 1 << 20])
@@ -339,8 +304,43 @@ class TestSlobodeckijSeminorm:
             for s1 in (-1, 1):
                 total += dblquad(f, *sorted((0, s0)), *sorted((0, s1)))[0]
         val = slobodeckij_seminorm(lambda X: a0 * X[:, 0] + a1 * X[:, 1], 0.5,
-                                   2, cube(2), QuadratureConfig(tolerance=1e-3))
-        assert val == pytest.approx(math.sqrt(total), rel=1e-3)
+                                   2, cube(2))
+        assert val == pytest.approx(math.sqrt(total), rel=1e-5)
+
+    @pytest.mark.parametrize("theta,p", [(0.5, 2.0), (0.25, 1.0), (0.9, 4.0)])
+    def test_one_dimensional_linear_at_default_tolerance(self, theta, p):
+        val = slobodeckij_seminorm(lambda X: X[:, 0], theta, p, cube(1))
+        assert val == pytest.approx(_linear_seminorm(theta, p), rel=1e-5)
+
+    def test_two_dimensional_rotated_linear_at_default_tolerance(self):
+        # for p = 2 the cross term of (a.z)^2 integrates to 0 over the
+        # square's difference box, so [a.x + b] = |a| [x0]; S = [x0]^2 in
+        # polar form, z = r (cos phi, sin phi), over a quadrant's two halves
+        from scipy.integrate import dblquad
+        f = lambda r, phi: math.cos(phi) ** 2 * (1 - r * math.cos(phi)) * \
+            (1 - r * math.sin(phi))
+        S = 4.0 * sum(dblquad(f, lo, hi, 0.0,
+                              lambda phi: 1.0 / max(math.cos(phi), math.sin(phi)),
+                              epsabs=1e-13, epsrel=1e-13)[0]
+                      for lo, hi in ((0.0, math.pi / 4), (math.pi / 4, math.pi / 2)))
+        a = 1.7 * np.array([math.cos(2.0), math.sin(2.0)])
+        val = slobodeckij_seminorm(lambda X: X @ a - 0.3, 0.5, 2, cube(2))
+        assert val == pytest.approx(1.7 * math.sqrt(S), rel=1e-5)
+
+    def test_three_dimensional_linear_at_default_tolerance(self):
+        # scipy.integrate.nquad of z0^2 / |z|^4 (1-z0)(1-z1)(1-z2) over
+        # (0,1)^3 at epsabs = epsrel = 1e-11 gives 0.2347381315890042; the
+        # eight octants are alike, so [x0] = sqrt(8 * that) = 1.3703667585
+        val = slobodeckij_seminorm(lambda X: X[:, 0], 0.5, 2, cube(3))
+        assert val == pytest.approx(1.3703668, rel=1e-5)
+
+    def test_bump_at_quarter_theta_and_p_four(self):
+        # the rule gives 1.21908587 at n = 48 and 1.21908566 at n = 64; with
+        # n nodes on every axis it gives 1.21908576 at n = 48, and with two
+        # Gauss panels per interval, 1.21908581
+        m = SmoothBumpMember(2, np.array([0.5, 0.5]), 0.35)
+        assert slobodeckij_seminorm(m, 0.25, 4, cube(2)) == \
+            pytest.approx(1.2190858, rel=1e-5)
 
     def test_divergence_detected(self):
         # |x - 1/2|^0.3 has a cusp too rough for theta = 0.8 in L2
@@ -373,11 +373,13 @@ class TestSlobodeckijNorm:
         val = slobodeckij_norm(Linear(), 0.5, 2, cube(1))
         assert val == pytest.approx(1.0, rel=1e-3)
 
-
-class TestUnitBallVolume:
-    def test_interval_and_disk(self):
-        assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-12)
-        assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-12)
+    def test_s_just_below_an_integer_is_that_integer(self):
+        # 0.7 * 3 + 0.9 rounds to 2.9999999999999996; taken as 2 + theta it
+        # would ask for a seminorm with theta a rounding error below 1
+        s = 0.7 * 3 + 0.9
+        assert s < 3
+        m = SmoothBumpMember(1, np.array([0.5]), 0.25)
+        assert slobodeckij_norm(m, s, 2, cube(1)) == slobodeckij_norm(m, 3, 2, cube(1))
 
 
 class TestFunctionalDispatch:
