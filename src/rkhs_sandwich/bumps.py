@@ -13,6 +13,7 @@ which is hopeless near the flat support boundary.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,47 +226,100 @@ class SignedSum:
 
     Every member must vanish exactly (value 0.0) outside its support_box:
     TentMember beyond radius delta^(1/alpha), SmoothBumpMember where
-    w <= _W_FLOOR, IndicatorMember outside its cell.  A call therefore
-    evaluates each member only on the points whose first coordinate lies in
-    its box (widened by _BOX_PAD against rounding), found by bisection in
-    the points sorted by x0, and adds the contributions in member order; a
-    member it skips would have added an exact 0, so the values equal the
-    sum over all members at all points, bit for bit.
+    w <= _W_FLOOR, IndicatorMember outside its cell.  A call evaluates the
+    members once per point set into a sparse member-value matrix: its rows
+    are the points sorted by x0, its columns the members in member order,
+    and its entries each member's values on the rows whose x0 lies in its
+    box (widened by _BOX_PAD against rounding, found by bisection), with
+    exact zeros dropped.  The sum is then one mat-vec, np.bincount of the
+    entries times their column's sign over the rows, scattered back to the
+    points' order.  bincount adds each row's entries in member order from
+    0.0, and a partial sum that starts at 0.0 is never -0.0, so a dropped
+    zero would have left it unchanged: the values equal the sum over all
+    members at all points bit for bit, np.signbit included.
+
+    with_signs gives a SignedSum over the same members that shares the
+    support boxes and, from then on, the matrix of the last point set any
+    of the sharing sums was called on; the matrix is reused only on points
+    bit-identical to that set, so the sign patterns of one Rademacher
+    average evaluate the members once.  A sum that shares nothing keeps no
+    matrix.
     """
 
     def __init__(self, members: Sequence, signs: Sequence[int]):
-        if len(members) != len(signs):
-            raise ValueError("one sign per member")
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError("signs must be +-1")
         self.members = list(members)
-        self.signs = list(signs)
+        self.signs = _checked_signs(signs, len(self.members))
         self._boxes = [m.support_box for m in self.members]
         lo0 = np.array([lo[0] for lo, _ in self._boxes], dtype=float)
         hi0 = np.array([hi[0] for _, hi in self._boxes], dtype=float)
         pad = _BOX_PAD * (np.abs(lo0) + np.abs(hi0))
         self._x0_range = (lo0 - pad, hi0 + pad)
+        # [(a copy of the points, the matrix)] of the last call, one list
+        # shared by the sums that with_signs makes
+        self._last = None
 
     @property
     def support_boxes(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         return list(self._boxes)
 
+    def with_signs(self, signs: Sequence[int]) -> "SignedSum":
+        """The same members with another sign pattern, sharing this sum's
+        support boxes and member-value matrix."""
+        if self._last is None:
+            self._last = [None]
+        other = copy.copy(self)
+        other.signs = _checked_signs(signs, len(self.members))
+        return other
+
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        order, rows, counts, vals = self._matrix(X)
+        weights = np.repeat(np.asarray(self.signs, dtype=float), counts)
+        weights *= vals
+        out = np.empty(len(X))
+        out[order] = np.bincount(rows, weights, minlength=len(X))
+        return out
+
+    def _matrix(self, X: np.ndarray):
+        """(order, rows, counts, vals): the sort order of X by x0, and the
+        member-value matrix's entries column by column, as row indices into
+        the sorted points, entries per member and values."""
+        if self._last is not None:
+            last = self._last[0]
+            if last is not None and \
+                    np.array_equal(X.view(np.uint64), last[0].view(np.uint64)):
+                return last[1]  # the same points, bit for bit
+            self._last[0] = None  # free the old matrix first
         order = np.argsort(X[:, 0], kind="stable")
         Xs = X[order]
         starts = np.searchsorted(Xs[:, 0], self._x0_range[0], side="left")
         stops = np.searchsorted(Xs[:, 0], self._x0_range[1], side="right")
-        acc = np.zeros(len(X))
-        for s, m, a, b in zip(self.signs, self.members, starts, stops):
+        rows, vals = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        counts = [0] * len(self.members)
+        for j, (m, a, b) in enumerate(zip(self.members, starts.tolist(),
+                                          stops.tolist())):
             if a < b:
-                acc[a:b] += s * m(Xs[a:b])
-        out = np.empty(len(X))
-        out[order] = acc
-        return out
+                v = m(Xs[a:b])
+                nz = (v != 0.0).nonzero()[0]
+                rows.append(nz + a)
+                vals.append(v[nz])
+                counts[j] = len(nz)
+        matrix = (order, np.concatenate(rows), counts, np.concatenate(vals))
+        if self._last is not None:
+            self._last[0] = (X.copy(), matrix)
+        return matrix
 
     def derivative(self, alpha: Sequence[int]) -> "SignedSum":
         return SignedSum([m.derivative(alpha) for m in self.members], self.signs)
+
+
+def _checked_signs(signs: Sequence[int], n: int) -> List[int]:
+    signs = list(signs)
+    if len(signs) != n:
+        raise ValueError("one sign per member")
+    if any(s not in (-1, 1) for s in signs):
+        raise ValueError("signs must be +-1")
+    return signs
 
 
 @dataclass

@@ -9,6 +9,7 @@ a boolean grid of the candidates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,20 +59,18 @@ def _min_sq_lattice(delta: Fraction, alpha: Fraction, den: int) -> int:
 
 
 def _cube_candidates(d: int, den: int) -> np.ndarray:
-    axis = np.arange(1, den, dtype=np.int64)  # strictly inside the open cube
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    # strictly inside the open cube, in lexicographic order
+    return np.argwhere(np.ones((den - 1,) * d, dtype=bool)) + 1
 
 
 def _ball_candidates(d: int, den: int, radius: Fraction) -> np.ndarray:
     lim = math.ceil(float(radius) * den)
-    axis = np.arange(-lim, lim + 1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    # keep the closed ball: |k|^2 <= (radius*den)^2, exact for integer k
-    r2 = Fraction(radius) ** 2 * den ** 2
-    keep = (pts.astype(object) ** 2).sum(axis=1) <= r2
-    return pts[np.asarray(keep, dtype=bool)]
+    sq = functools.reduce(np.add.outer,
+                          [np.arange(-lim, lim + 1, dtype=np.int64) ** 2] * d)
+    # keep the closed ball |k| <= p den / q for radius p/q: q^2 |k|^2 <=
+    # p^2 den^2, and for the integer |k|^2 that is |k|^2 <= p^2 den^2 // q^2
+    r = Fraction(radius)
+    return np.argwhere(sq <= (r.numerator * den) ** 2 // r.denominator ** 2) - lim
 
 
 # the candidate lattice spacing is the Euclidean packing radius over this
@@ -124,22 +123,41 @@ def _as_fraction_points(pts: np.ndarray, den: int) -> Tuple[Tuple[Fraction, ...]
     return tuple(tuple(Fraction(int(c), den) for c in pt) for pt in pts)
 
 
+# the most cells a candidate grid may have (see greedy_packing)
+_MAX_GRID_CELLS = 1 << 22
+
+
 def _candidates_for(domain: DomainSpec, delta: Fraction, alpha: Fraction,
                     den: Optional[int]) -> Tuple[np.ndarray, int]:
-    if domain.kind == "unit-cube":
-        den = den or _grid_denominator(delta, alpha)
-        return _cube_candidates(domain.dimension, den), den
-    if domain.kind == "euclidean-ball":
-        den = den or _grid_denominator(delta, alpha)
-        return _ball_candidates(domain.dimension, den, domain.radius), den
-    raise PackingError(f"no candidate grid for domain kind {domain.kind!r}")
+    """The lattice candidates inside a cube or ball, at spacing 1/den.
+
+    Refuses with PackingError, before allocating it, a dense grid of more
+    than _MAX_GRID_CELLS cells: (den - 1)^d on a cube,
+    (2 ceil(radius den) + 1)^d on a ball."""
+    if domain.kind not in ("unit-cube", "euclidean-ball"):
+        raise PackingError(f"no candidate grid for domain kind {domain.kind!r}")
+    den = den or _grid_denominator(delta, alpha)
+    d = domain.dimension
+    cube = domain.kind == "unit-cube"
+    side = den - 1 if cube else 2 * math.ceil(float(domain.radius) * den) + 1
+    if side ** d > _MAX_GRID_CELLS:
+        raise PackingError(f"the candidate grid at delta={delta} would have "
+                           f"{side}^{d} cells, more than {_MAX_GRID_CELLS}")
+    if cube:
+        return _cube_candidates(d, den), den
+    return _ball_candidates(d, den, domain.radius), den
 
 
 def greedy_packing(domain: DomainSpec, delta, alpha=1,
                    den: Optional[int] = None) -> PackingResult:
     """Greedy maximal delta-packing of the domain in the metric d^alpha.
 
-    The count is a certified lower bound for P(X, d^alpha, delta).
+    The count is a certified lower bound for P(X, d^alpha, delta).  On a
+    cube or ball, a candidate grid of more than _MAX_GRID_CELLS = 2^22
+    cells (ball:3 at delta 1/64 would lay 513^3) is refused with
+    PackingError before it is allocated; every grid the tests and the
+    benchmark lay fits, up to tent-scan's 63^3 = 250,047 and the 262,143 of
+    a holder:1/4 scan on cube:1 at delta 1/16.
     """
     delta, alpha = Fraction(delta), Fraction(alpha)
     if delta <= 0:

@@ -74,7 +74,9 @@ def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
                     for _ in range(config.mc_samples))
     else:
         raise ModeError(f"unknown mode {mode!r}")
-    vals = [functional(SignedSum(members, signs), domain, config)
+    # every pattern shares one member-value matrix per point set
+    base = SignedSum(members, [1] * n)
+    vals = [functional(base.with_signs(signs), domain, config)
             for signs in patterns]
     stderr = None
     if mode == "monte-carlo":
@@ -203,14 +205,36 @@ def _indicators_at(recipe, dl, rad_fun, seq_fun, domain, rng,
     return m, 1.0, math.sqrt(m) * cell_vol ** (1 / r)
 
 
-def _tent_cloud(centers: np.ndarray, width: float, alpha: float) -> np.ndarray:
-    """Centers plus one in-support witness per bump at distance width^(1/alpha)."""
+def _tent_cloud(centers: np.ndarray, width: float, alpha: float,
+                domain: Optional[DomainSpec] = None) -> np.ndarray:
+    """Centers plus one in-support witness per bump at distance r =
+    width^(1/alpha): the center stepped by r along the first of +x0, -x0,
+    +x1, -x1, ... whose endpoint lies in the open domain (by default the
+    unit cube)."""
     r = width ** (1.0 / alpha)
     witness = centers.copy()
-    # step along the first axis, flipping direction near the far face
-    step = np.where(witness[:, 0] + r < 1.0, r, -r)
-    witness[:, 0] += step
+    todo = np.arange(len(centers))
+    for k in range(centers.shape[1]):
+        for step in (r, -r):
+            moved = witness[todo]
+            moved[:, k] += step
+            ok = _inside(moved, domain)
+            witness[todo[ok]] = moved[ok]
+            todo = todo[~ok]
+    if len(todo):
+        raise DomainTooSmallError(f"no axis step of {r} keeps a tent witness "
+                                  "inside the domain")
     return np.vstack([centers, witness])
+
+
+def _inside(points: np.ndarray, domain: Optional[DomainSpec]) -> np.ndarray:
+    """Which points lie in the open unit cube (domain None or a cube) or in
+    the open ball."""
+    if domain is None or domain.kind == "unit-cube":
+        return np.all((points > 0.0) & (points < 1.0), axis=1)
+    if domain.kind == "euclidean-ball":
+        return np.einsum("ij,ij->i", points, points) < float(domain.radius) ** 2
+    raise ScanError(f"tent witnesses need a cube or ball domain, not {domain.kind!r}")
 
 
 def _tents_at(recipe, dl, rad_fun, seq_fun, domain, rng,
@@ -224,7 +248,7 @@ def _tents_at(recipe, dl, rad_fun, seq_fun, domain, rng,
     if n < 2:
         raise DomainTooSmallError(
             f"packing at delta={dl} yields fewer than 2 centers")
-    cloud = _tent_cloud(fam.centers, float(dl) / 3, float(alpha))
+    cloud = _tent_cloud(fam.centers, float(dl) / 3, float(alpha), domain)
     members = fam.members
     # each member's sequence-side norm on its own center/witness pair
     seq = math.sqrt(sum(

@@ -249,6 +249,96 @@ class TestSignedSumSlices:
         _assert_bitwise(h(X), _member_loop(h, X))
 
 
+class _Counting:
+    """A member that counts the points it is evaluated at."""
+
+    def __init__(self, member):
+        self.member, self.points = member, 0
+
+    @property
+    def support_box(self):
+        return self.member.support_box
+
+    def __call__(self, X):
+        self.points += len(X)
+        return self.member(X)
+
+
+def _sign_patterns(n, rng, k=6):
+    return [[1] * n, [-1] * n] + [
+        [int(s) for s in rng.choice((1, -1), size=n)] for _ in range(k)]
+
+
+class TestMemberMatrix:
+    """with_signs runs every sign pattern as one mat-vec over the
+    member-value matrix of its point set; the oracle is the naive sum of
+    every member at every point, compared with == and np.signbit."""
+
+    @pytest.mark.parametrize("kind", ["tent", "smooth", "smooth-derivative",
+                                      "indicator"])
+    def test_with_signs_matches_the_naive_sum(self, kind):
+        rng = np.random.default_rng(len(kind))
+        members = _random_members(kind.split("-")[0], 2, rng, 12)
+        if kind == "smooth-derivative":
+            members = [m.derivative((1, 1)) for m in members]
+        X = np.vstack([_face_points(members, rng),
+                       rng.uniform(-0.2, 1.5, size=(200, 2))])
+        h = SignedSum(members, [1] * 12)
+        for signs in _sign_patterns(12, rng):
+            g = h.with_signs(signs)
+            _assert_bitwise(g(X), _member_loop(g, X))
+        assert h.signs == [1] * 12
+
+    def test_overlapping_members(self):
+        t = TentMember(np.array([0.5]), 0.25, 1.0)
+        h = SignedSum([t, t], [-1, 1])
+        X = np.linspace(0, 1, 41).reshape(-1, 1)
+        h(X)
+        for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
+            g = h.with_signs(signs)
+            _assert_bitwise(g(X), _member_loop(g, X))
+
+    def test_members_are_evaluated_once_per_point_set(self):
+        rng = np.random.default_rng(3)
+        members = [_Counting(m) for m in _random_members("tent", 2, rng, 8)]
+        h = SignedSum(members, [1] * 8)
+        sums = [h.with_signs(signs) for signs in _sign_patterns(8, rng)]
+        X = rng.uniform(0, 1, size=(300, 2))
+        sums[0](X)
+        evaluated = sum(m.points for m in members)
+        assert evaluated > 0
+        for g in sums[1:] + [h]:
+            g(X.copy())  # equal points in another array
+        assert sum(m.points for m in members) == evaluated
+
+    def test_never_reuses_a_matrix_on_other_points(self):
+        rng = np.random.default_rng(4)
+        members = [_Counting(m) for m in _random_members("tent", 2, rng, 8)]
+        h = SignedSum(members, [1] * 8)
+        g = h.with_signs([1, -1] * 4)
+        X = rng.uniform(0, 1, size=(300, 2))
+        h(X)
+        # the caller's array changed in place: a point moves onto a center
+        X[7] = members[2].member.center
+        _assert_bitwise(g(X), _member_loop(g, X))
+        # the same points in another order, and one coordinate one ulp off
+        Y = X[::-1]
+        _assert_bitwise(g(Y), _member_loop(g, Y))
+        Z = X.copy()
+        Z[7, 1] = np.nextafter(Z[7, 1], 2.0)
+        _assert_bitwise(g(Z), _member_loop(g, Z))
+        # a point set of another shape, then the first one again
+        _assert_bitwise(g(X[:50]), _member_loop(g, X[:50]))
+        _assert_bitwise(h(X), _member_loop(h, X))
+
+    def test_with_signs_checks_its_signs(self):
+        h = tent_family(cube(2), 1 / 12, 1 / 2).all_plus()
+        with pytest.raises(ValueError, match="one sign per member"):
+            h.with_signs([1])
+        with pytest.raises(ValueError, match="signs must be"):
+            h.with_signs([0] * len(h.members))
+
+
 class TestFamilySeparation:
     def test_too_close_tent_pair(self):
         # |0.15 - 0.1|^(1/2) = 0.22 < 3 * 0.1

@@ -166,6 +166,29 @@ def test_stencil_greedy_matches_candidate_loop(dom, delta, alpha):
     assert np.array_equal(perm[got], want)
 
 
+class TestCandidateGrid:
+    @pytest.mark.parametrize("d,den,radius", [
+        (1, 6, Fraction(1, 3)), (2, 5, Fraction(1)), (2, 7, Fraction(3, 7)),
+        (3, 4, Fraction(5, 4)), (3, 9, Fraction(2, 3)),
+    ])
+    def test_ball_candidates_are_the_closed_ball(self, d, den, radius):
+        # the integer test against Fractions, on spheres through lattice points
+        lim = math.ceil(radius * den)
+        want = [list(k) for k in itertools.product(range(-lim, lim + 1), repeat=d)
+                if sum(Fraction(x, den) ** 2 for x in k) <= radius ** 2]
+        assert packing._ball_candidates(d, den, radius).tolist() == want
+
+    def test_oversized_grid_is_refused_before_it_is_laid(self):
+        # ball:3 at delta 1/64 would lay 513^3 = 135,005,697 candidates
+        for pack in (greedy_packing, brute_force_packing):
+            with pytest.raises(PackingError, match=r"513\^3 cells"):
+                pack(ball(3), Fraction(1, 64))
+        # the bound is on the dense grid: 2049^2 cells is one row too many
+        assert 2048 ** 2 == packing._MAX_GRID_CELLS
+        with pytest.raises(PackingError, match=r"2049\^2 cells"):
+            greedy_packing(cube(2), Fraction(1, 2), den=2050)
+
+
 class TestExponentFit:
     def test_line(self):
         slope = exponent_fit(cube(1), [Fraction(1, 4), Fraction(1, 8),

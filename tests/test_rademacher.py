@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rkhs_sandwich import (NormFunctional, QuadratureConfig, SignedSum, ball, cube,
+from rkhs_sandwich import (NormFunctional, QuadratureConfig, SignedSum, TentMember,
+                           ball, cube,
                            decide, decide_bounded_target, hoelder_norm, holder,
                            indicator_partition, lebesgue_lp, rademacher_norm, scan,
                            seq_l2_norm, sequence_lp, slobodeckij, smooth_family,
@@ -66,6 +67,89 @@ class TestRademacherNorm:
                             config=FAST, seed=11)
         assert a.value == b.value and a.stderr == b.stderr
         assert a.mode == "monte-carlo"
+
+
+class TestSharedMemberMatrix:
+    """rademacher_norm runs every pattern through one SignedSum's
+    with_signs; a fresh SignedSum per pattern is the oracle."""
+
+    @staticmethod
+    def _fresh_average(members, fn, dom, config, seed):
+        rng = np.random.default_rng(seed)
+        vals = [fn(SignedSum(members, [int(s) for s in
+                                       rng.choice((1, -1), size=len(members))]),
+                   dom, config) for _ in range(config.mc_samples)]
+        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_point_cloud_functionals(self, seed):
+        config = QuadratureConfig(mc_samples=8)
+        dom = cube(2)
+        fam = tent_family(dom, Fraction(1, 12), Fraction(1, 2))
+        cloud = _tent_cloud(fam.centers, 1 / 12, 0.5, dom)
+        # overlapping tents, whose average depends on the signs
+        rng = np.random.default_rng(seed)
+        tents = [TentMember(c, w, a) for c, w, a in zip(
+            rng.uniform(0, 1, size=(10, 2)), rng.uniform(0.1, 0.3, 10),
+            rng.uniform(0.4, 1.0, 10))]
+        points = np.vstack([rng.uniform(0, 1, size=(400, 2))] +
+                           [t.center[None, :] for t in tents])
+        cases = [
+            (fam.members, NormFunctional("hoelder", holder_exponent=0.5, points=cloud)),
+            (fam.members, NormFunctional("sup", points=cloud)),
+            (tents, NormFunctional("hoelder", holder_exponent=0.7, points=points)),
+            (tents, NormFunctional("sup", points=points)),
+            (tents, NormFunctional("sup")),  # the default cloud of each pattern
+        ]
+        for members, fn in cases:
+            est = rademacher_norm(members, fn, dom, "monte-carlo", config, seed=seed)
+            assert (est.value, est.stderr) == \
+                self._fresh_average(members, fn, dom, config, seed), fn.kind
+
+
+class TestTentCloud:
+    @staticmethod
+    def _x0_rule(centers, r):
+        """The cube rule: step along +x0, or along -x0 near the far face."""
+        witness = centers.copy()
+        witness[:, 0] += np.where(witness[:, 0] + r < 1.0, r, -r)
+        return np.vstack([centers, witness])
+
+    @pytest.mark.parametrize("dom,delta,alpha", [
+        (cube(3), Fraction(1, 16), Fraction(1)),
+        (cube(2), Fraction(1, 4), Fraction(1, 2)),
+        (cube(1), Fraction(1, 8), Fraction(1, 3)),
+    ])
+    def test_cube_cloud_steps_along_x0(self, dom, delta, alpha):
+        fam = tent_family(dom, delta / 3, alpha)
+        width, a = float(delta) / 3, float(alpha)
+        want = self._x0_rule(fam.centers, width ** (1 / a))
+        assert np.array_equal(_tent_cloud(fam.centers, width, a, dom), want)
+        assert np.array_equal(_tent_cloud(fam.centers, width, a), want)
+
+    def test_witness_takes_the_first_axis_step_that_stays_inside(self):
+        # (+-0.2, 0.99) and (0, 1.19) leave the unit disk, (0, 0.79) does not
+        cloud = _tent_cloud(np.array([[0.0, 0.99]]), 0.2, 1.0, ball(2))
+        assert np.array_equal(cloud[1], [0.0, 0.99 - 0.2])
+        with pytest.raises(DomainTooSmallError, match="inside the domain"):
+            _tent_cloud(np.array([[0.0]]), 0.2, 1.0, ball(1, Fraction(1, 10)))
+
+    def test_ball_witnesses_stay_in_the_ball(self):
+        dom = ball(2)
+        fam = tent_family(dom, Fraction(1, 24), Fraction(1, 2))
+        assert fam.n == 12299
+        r = (1 / 24) ** 2
+        cloud = _tent_cloud(fam.centers, 1 / 24, 0.5, dom)
+        witness = cloud[fam.n:]
+        assert np.array_equal(cloud[:fam.n], fam.centers)
+        assert (np.einsum("ij,ij->i", witness, witness) < 1.0).all()
+        # the x0 rule of the cube leaves witnesses outside the disk
+        old = self._x0_rule(fam.centers, r)[fam.n:]
+        assert (np.einsum("ij,ij->i", old, old) >= 1.0).sum() == 18
+        # each witness is its center stepped by r along one axis
+        step = witness - fam.centers
+        assert ((step != 0.0).sum(axis=1) == 1).all()
+        assert np.allclose(np.abs(step).sum(axis=1), r, rtol=1e-9, atol=0)
 
 
 class TestSeqL2Norm:

@@ -306,6 +306,14 @@ class TestScanCommand:
         assert doc["payload"]["predicted_exponent"] == "1/2"
         assert doc["payload"]["fitted_slope"] == pytest.approx(0.5, abs=0.05)
 
+    def test_scan_refuses_an_oversized_packing_grid(self, capsys):
+        code = main(["scan", "--from", "holder:1/2", "--to", "sup", "--domain",
+                     "ball:3", "--deltas", "1/8,1/16"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "would have 513^3 cells" in captured.err
+
     def test_scan_refuses_feasible_pair(self, capsys):
         code = main(["scan", "--from", "lp:1", "--to", "lp:inf",
                      "--deltas", "1/4,1/8"])
@@ -343,6 +351,14 @@ class TestPackingCommand:
         doc = json.loads(out)
         assert doc["payload"]["counts"][0]["count"] >= 4
         assert 0.8 <= doc["payload"]["fitted_exponent"] <= 1.2
+
+    def test_oversized_grid_is_a_usage_error(self, capsys):
+        code = main(["packing", "--domain", "ball:3", "--deltas", "1/64"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("error: the candidate grid at delta=1/64 "
+                                       "would have 513^3 cells")
 
 
 class TestIrkbsCommand:
