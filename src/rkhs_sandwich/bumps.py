@@ -30,9 +30,13 @@ Poly = Dict[Tuple[int, ...], Fraction]  # exponent tuple -> coefficient
 # below this w = 1-|x|^2 the bump underflows anything the prefactor can
 # blow up to; treat the product as exactly 0
 _W_FLOOR = 0.004
-# relative widening of a support box's x0-range in SignedSum, far above the
+# relative widening of a support box in SignedSum's cell grid, far above the
 # rounding of box faces and of tent distances
 _BOX_PAD = 1e-9
+# the axes SignedSum's cell grid buckets the points on (a box touches 2 or
+# 3 cells on each), and its most cells per axis
+_GRID_AXES = 3
+_CELLS_PER_AXIS = 1 << 20
 
 
 def _poly_mul_x(p: Poly, j: int, d: int) -> Poly:
@@ -172,13 +176,22 @@ class SmoothBumpMember:
     def support_box(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.center - self.delta, self.center + self.delta
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = (X - self.center) / self.delta
-        scale = self.delta ** (-sum(self.alpha))
+    @property
+    def _batch(self):
+        """(key, params): SignedSum evaluates the members of one key in one
+        _values call, with their params stacked row by row."""
+        return (SmoothBumpMember, self.dimension, self.delta, tuple(self.alpha)), \
+            (self.center,)
+
+    def _values(self, X: np.ndarray, center: np.ndarray) -> np.ndarray:
+        Y = (X - center) / self.delta
         if sum(self.alpha) == 0:
             return self._bump(Y)
+        scale = self.delta ** (-sum(self.alpha))
         return scale * self._bump.derivative_values(self.alpha, Y)
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return self._values(np.atleast_2d(np.asarray(X, dtype=float)), self.center)
 
     def derivative(self, alpha: Sequence[int]) -> "SmoothBumpMember":
         total = tuple(a + b for a, b in zip(self.alpha, alpha))
@@ -198,10 +211,16 @@ class TentMember:
         r = self.delta ** (1.0 / self.alpha)
         return self.center - r, self.center + r
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        dist = np.linalg.norm(X - self.center, axis=1)
+    @property
+    def _batch(self):
+        return (TentMember, self.delta, self.alpha), (self.center,)
+
+    def _values(self, X: np.ndarray, center: np.ndarray) -> np.ndarray:
+        dist = np.linalg.norm(X - center, axis=1)
         return np.maximum(self.delta - dist ** self.alpha, 0.0)
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return self._values(np.atleast_2d(np.asarray(X, dtype=float)), self.center)
 
 
 class IndicatorMember:
@@ -215,10 +234,15 @@ class IndicatorMember:
     def support_box(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.lo, self.hi
 
+    @property
+    def _batch(self):
+        return (IndicatorMember,), (self.lo, self.hi)
+
+    def _values(self, X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        return np.all((X >= lo) & (X < hi), axis=1).astype(float)
+
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        inside = np.all((X >= self.lo) & (X < self.hi), axis=1)
-        return inside.astype(float)
+        return self._values(np.atleast_2d(np.asarray(X, dtype=float)), self.lo, self.hi)
 
 
 class SignedSum:
@@ -228,20 +252,28 @@ class SignedSum:
     TentMember beyond radius delta^(1/alpha), SmoothBumpMember where
     w <= _W_FLOOR, IndicatorMember outside its cell.  A call evaluates the
     members once per point set into a sparse member-value matrix: its rows
-    are the points sorted by x0, its columns the members in member order,
-    and its entries each member's values on the rows whose x0 lies in its
-    box (widened by _BOX_PAD against rounding, found by bisection), with
-    exact zeros dropped.  The sum is then one mat-vec, np.bincount of the
-    entries times their column's sign over the rows, scattered back to the
-    points' order.  bincount adds each row's entries in member order from
-    0.0, and a partial sum that starts at 0.0 is never -0.0, so a dropped
-    zero would have left it unchanged: the values equal the sum over all
-    members at all points bit for bit, np.signbit included.
+    are the points, its columns the members in member order, and its
+    entries each member's values at its candidate points, with exact zeros
+    dropped.  The candidates come from a uniform cell grid on the first
+    _GRID_AXES axes (fixed-radius near-neighbour search; Bentley, Stanat &
+    Williams, Inf. Proc. Lett. 6, 1977) whose cell side on each axis is the
+    widest support box, widened by _BOX_PAD against rounding: a box then
+    touches 2 cells per axis (3 where a face rounds onto a cell edge), and
+    the points of those cells are its member's candidates.  The members that share a _batch key (tents of one
+    delta and alpha; smooth bumps of one dimension, delta and derivative)
+    are evaluated in one _values call with their params stacked per
+    candidate, by the formula their own __call__ uses; any other member is
+    called on its own candidates.  The sum is then one mat-vec, np.bincount
+    of the entries times their column's sign over the rows.  bincount adds
+    each row's entries in member order from 0.0, and a partial sum that
+    starts at 0.0 is never -0.0, so a dropped zero would have left it
+    unchanged: the values equal the sum over all members at all points bit
+    for bit, np.signbit included.
 
     with_signs gives a SignedSum over the same members that shares the
-    support boxes and, from then on, the matrix of the last point set any
-    of the sharing sums was called on; the matrix is reused only on points
-    bit-identical to that set, so the sign patterns of one Rademacher
+    support boxes, the grid and, from then on, the matrix of the last point
+    set any of the sharing sums was called on; the matrix is reused only on
+    points bit-identical to that set, so the sign patterns of one Rademacher
     average evaluate the members once.  A sum that shares nothing keeps no
     matrix.
     """
@@ -250,10 +282,24 @@ class SignedSum:
         self.members = list(members)
         self.signs = _checked_signs(signs, len(self.members))
         self._boxes = [m.support_box for m in self.members]
-        lo0 = np.array([lo[0] for lo, _ in self._boxes], dtype=float)
-        hi0 = np.array([hi[0] for _, hi in self._boxes], dtype=float)
-        pad = _BOX_PAD * (np.abs(lo0) + np.abs(hi0))
-        self._x0_range = (lo0 - pad, hi0 + pad)
+        self._grid = _CellGrid(self._boxes)
+        # the members that share a _batch key form one group, kept as (a
+        # representative, their params stacked, or None for a member without
+        # a _batch formula, which is a group of its own); a member's group
+        # and its row in the stacked params
+        batches = [getattr(m, "_batch", None) for m in self.members]
+        keyed: Dict = {}
+        for j, b in enumerate(batches):
+            keyed.setdefault(j if b is None else b[0], []).append(j)
+        self._groups = []
+        self._group_of = np.empty(len(self.members), dtype=np.intp)
+        self._slot = np.empty(len(self.members), dtype=np.intp)
+        for g, js in enumerate(keyed.values()):
+            params = None if batches[js[0]] is None else \
+                [np.array(p) for p in zip(*(batches[j][1] for j in js))]
+            self._groups.append((self.members[js[0]], params))
+            self._group_of[js] = g
+            self._slot[js] = np.arange(len(js))
         # [(a copy of the points, the matrix)] of the last call, one list
         # shared by the sums that with_signs makes
         self._last = None
@@ -264,7 +310,7 @@ class SignedSum:
 
     def with_signs(self, signs: Sequence[int]) -> "SignedSum":
         """The same members with another sign pattern, sharing this sum's
-        support boxes and member-value matrix."""
+        support boxes, cell grid and member-value matrix."""
         if self._last is None:
             self._last = [None]
         other = copy.copy(self)
@@ -273,44 +319,95 @@ class SignedSum:
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        order, rows, counts, vals = self._matrix(X)
-        weights = np.repeat(np.asarray(self.signs, dtype=float), counts)
-        weights *= vals
-        out = np.empty(len(X))
-        out[order] = np.bincount(rows, weights, minlength=len(X))
-        return out
+        rows, cols, vals = self._matrix(X)
+        weights = np.asarray(self.signs, dtype=float)[cols] * vals
+        return np.bincount(rows, weights, minlength=len(X))
 
     def _matrix(self, X: np.ndarray):
-        """(order, rows, counts, vals): the sort order of X by x0, and the
-        member-value matrix's entries column by column, as row indices into
-        the sorted points, entries per member and values."""
+        """(rows, cols, vals): the member-value matrix's nonzero entries,
+        member by member, as point indices, member indices and values."""
         if self._last is not None:
             last = self._last[0]
             if last is not None and \
                     np.array_equal(X.view(np.uint64), last[0].view(np.uint64)):
                 return last[1]  # the same points, bit for bit
             self._last[0] = None  # free the old matrix first
-        order = np.argsort(X[:, 0], kind="stable")
-        Xs = X[order]
-        starts = np.searchsorted(Xs[:, 0], self._x0_range[0], side="left")
-        stops = np.searchsorted(Xs[:, 0], self._x0_range[1], side="right")
-        rows, vals = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-        counts = [0] * len(self.members)
-        for j, (m, a, b) in enumerate(zip(self.members, starts.tolist(),
-                                          stops.tolist())):
-            if a < b:
-                v = m(Xs[a:b])
-                nz = (v != 0.0).nonzero()[0]
-                rows.append(nz + a)
-                vals.append(v[nz])
-                counts[j] = len(nz)
-        matrix = (order, np.concatenate(rows), counts, np.concatenate(vals))
+        rows, cols = self._grid.candidates(X)
+        vals = np.empty(len(rows))
+        group = self._group_of[cols]
+        by_group = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[by_group], np.arange(len(self._groups) + 1))
+        for g, (rep, params) in enumerate(self._groups):
+            sel = by_group[bounds[g]:bounds[g + 1]]
+            if not len(sel):
+                continue
+            if params is None:  # a member without a _batch formula
+                vals[sel] = rep(X[rows[sel]])
+            else:
+                slot = self._slot[cols[sel]]
+                vals[sel] = rep._values(X[rows[sel]], *(p[slot] for p in params))
+        nz = (vals != 0.0).nonzero()[0]
+        matrix = (rows[nz], cols[nz], vals[nz])
         if self._last is not None:
             self._last[0] = (X.copy(), matrix)
         return matrix
 
     def derivative(self, alpha: Sequence[int]) -> "SignedSum":
         return SignedSum([m.derivative(alpha) for m in self.members], self.signs)
+
+
+class _CellGrid:
+    """A uniform grid of cells over the first _GRID_AXES axes of a list of
+    boxes, each box widened by _BOX_PAD.  The cell side on each axis is the
+    widest box (or 1/_CELLS_PER_AXIS of the boxes' span, if that is more,
+    so that the cell keys fit in int64), so each box touches at most 2 cells
+    per axis, 3 where its faces round onto cell edges."""
+
+    def __init__(self, boxes):
+        # each box's cell keys, box by box, and the box they belong to
+        self.keys = np.empty(0, dtype=np.int64)
+        self.owner = np.empty(0, dtype=np.intp)
+        if not boxes:
+            return
+        m = len(boxes)
+        lo = np.array([b[0] for b in boxes], dtype=float).reshape(m, -1)[:, :_GRID_AXES]
+        hi = np.array([b[1] for b in boxes], dtype=float).reshape(m, -1)[:, :_GRID_AXES]
+        pad = _BOX_PAD * (np.abs(lo) + np.abs(hi))
+        lo, hi = lo - pad, hi + pad
+        self.origin = lo.min(axis=0)
+        side = np.maximum((hi - lo).max(axis=0),
+                          (hi.max(axis=0) - self.origin) / _CELLS_PER_AXIS)
+        self.side = np.where(side > 0.0, side, 1.0)
+        # the cells of lo and hi bound those of every point in the box, as
+        # (x - origin) / side is monotone in x
+        first = self._cells(lo).astype(np.int64)
+        last = self._cells(hi).astype(np.int64)
+        self.shape = last.max(axis=0) + 1
+        self.stride = np.append(np.cumprod(self.shape[:0:-1])[::-1], 1)
+        reach = last - first + 1
+        steps = np.array(list(itertools.product(range(int(reach.max())),
+                                                repeat=lo.shape[1])))
+        self.owner, step = np.nonzero(np.all(steps < reach[:, None], axis=2))
+        self.keys = (first @ self.stride)[self.owner] + (steps @ self.stride)[step]
+
+    def _cells(self, X: np.ndarray) -> np.ndarray:
+        return np.floor((X[:, :len(self.side)] - self.origin) / self.side)
+
+    def candidates(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, cols): the points of X in the cells each box touches, as
+        point and box indices, box by box."""
+        if not len(self.keys):
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        cells = np.clip(self._cells(X), -1.0, self.shape)  # keeps the cast finite
+        inside = np.all((cells >= 0.0) & (cells < self.shape), axis=1)
+        keys = np.where(inside, cells.astype(np.int64) @ self.stride, -1)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        start = np.searchsorted(sorted_keys, self.keys, side="left")
+        count = np.searchsorted(sorted_keys, self.keys, side="right") - start
+        # box cell e's k-th point is order[start[e] + k]
+        shift = np.repeat(start - (np.cumsum(count) - count), count)
+        return order[np.arange(len(shift)) + shift], np.repeat(self.owner, count)
 
 
 def _checked_signs(signs: Sequence[int], n: int) -> List[int]:

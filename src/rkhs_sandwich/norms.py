@@ -90,6 +90,9 @@ class NormFunctional:
       hoelder(alpha)              -- sup norm + best Hoelder quotient over a
                                      point cloud (certified lower bound)
       sup                          -- sup over a point cloud
+
+    The point-cloud kinds (hoelder, sup) also take an fn whose values at the
+    points form a points x k array, and then return one value per column.
     """
 
     kind: str
@@ -117,7 +120,8 @@ class NormFunctional:
         if self.kind == "sup":
             pts = self.points if self.points is not None \
                 else default_point_cloud(fn, domain)
-            return float(np.max(np.abs(fn(pts))))
+            vals = np.abs(fn(pts))
+            return float(np.max(vals)) if vals.ndim == 1 else np.max(vals, axis=0)
         raise NormError(f"unknown functional kind {self.kind!r}")
 
 
@@ -133,21 +137,24 @@ def _domain_box(domain: DomainSpec) -> Tuple[np.ndarray, np.ndarray]:
     raise NormError(f"no integration box for domain kind {domain.kind!r}")
 
 
-def _support_boxes(fn, domain: DomainSpec,
-                   clip=None) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+def _support_boxes(fn, domain: DomainSpec, clip=None) -> Optional[List[tuple]]:
     """fn's support boxes (a SignedSum's, or a member's one) clipped to the
     box clip, by default the domain's box, left unclipped on R^d, without
-    those that miss it; None when fn declares no support."""
+    those that miss it, as (lo, hi, owner): owner is the member whose box it
+    is, for a SignedSum, and fn itself otherwise; None when fn declares no
+    support."""
     box = getattr(fn, "support_box", None)
     boxes = getattr(fn, "support_boxes", None if box is None else [box])
     if boxes is None:
         return None
+    owners = getattr(fn, "members", None) or [fn] * len(boxes)
     try:
         lo, hi = clip if clip is not None else _domain_box(domain)
     except (NormError, AttributeError):
         lo, hi = -np.inf, np.inf
-    boxes = [(np.maximum(blo, lo), np.minimum(bhi, hi)) for blo, bhi in boxes]
-    return [(blo, bhi) for blo, bhi in boxes if np.all(bhi > blo)]
+    boxes = [(np.maximum(blo, lo), np.minimum(bhi, hi), g)
+             for (blo, bhi), g in zip(boxes, owners)]
+    return [(blo, bhi, g) for blo, bhi, g in boxes if np.all(bhi > blo)]
 
 
 def _converged(estimates, tolerance: float, message: str) -> float:
@@ -163,7 +170,7 @@ def _converged(estimates, tolerance: float, message: str) -> float:
 
 
 def _boxes_disjoint(boxes) -> bool:
-    for (lo1, hi1), (lo2, hi2) in itertools.combinations(boxes, 2):
+    for (lo1, hi1, *_), (lo2, hi2, *_) in itertools.combinations(boxes, 2):
         if np.all(hi1 > lo2) and np.all(hi2 > lo1):
             return False
     return True
@@ -185,12 +192,18 @@ def _midpoint_grid(lo: np.ndarray, hi: np.ndarray, res: int) -> Tuple[np.ndarray
 def lp_norm(fn, p: float, domain: DomainSpec,
             config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """||fn||_Lp by adaptive midpoint quadrature over the support boxes; on
-    a ball domain the integrand is zero at grid points off the open ball."""
+    a ball domain the integrand is zero at grid points off the open ball.
+
+    Disjoint boxes of a SignedSum are each integrated against the member
+    that owns the box: a member vanishes outside its box, so at the box's
+    grid points the sum equals +-that member and |sum|^p = |member|^p, bit
+    for bit.  Overlapping supports, or none declared, integrate fn over the
+    domain's box."""
     if not (p > 0 and math.isfinite(p)):
         raise NormError("lp_norm needs a finite positive exponent")
     boxes = _support_boxes(fn, domain)
     if boxes is None or not _boxes_disjoint(boxes):
-        boxes = [_domain_box(domain)]
+        boxes = [(*_domain_box(domain), fn)]
     if not boxes:
         return 0.0
     d = len(boxes[0][0])
@@ -201,9 +214,9 @@ def lp_norm(fn, p: float, domain: DomainSpec,
         res = config.resolution
         while res <= cap:
             total = 0.0
-            for lo, hi in boxes:
+            for lo, hi, g in boxes:
                 pts, w = _midpoint_grid(lo, hi, res)
-                vals = np.abs(fn(pts)) ** p
+                vals = np.abs(g(pts)) ** p
                 if r2 is not None:
                     vals = np.where(np.einsum("ij,ij->i", pts, pts) < r2, vals, 0.0)
                 total += float(np.sum(vals)) * w
@@ -226,7 +239,8 @@ _HOELDER_NEIGHBOURS = 8
 # relative slack on the pruning bound, far above the rounding of the radius
 # and of the tree's distances
 _PRUNE_MARGIN = 1e-6
-# candidate pairs examined per block (bounds memory when the radius is large)
+# candidate pairs x columns examined per block (bounds memory when the
+# radius is large)
 _PAIRS_PER_BLOCK = 1 << 20
 
 
@@ -241,7 +255,7 @@ def default_point_cloud(fn, domain: DomainSpec) -> np.ndarray:
         clouds.append(pts)
     except (NormError, AttributeError):
         pass
-    for blo, bhi in _support_boxes(fn, domain) or []:
+    for blo, bhi, _ in _support_boxes(fn, domain) or []:
         local_pts, _ = _midpoint_grid(blo, bhi, _CLOUD_LOCAL)
         clouds.append(local_pts)
         clouds.append((blo + bhi)[None, :] / 2)
@@ -251,59 +265,82 @@ def default_point_cloud(fn, domain: DomainSpec) -> np.ndarray:
     return np.unique(np.vstack(clouds), axis=0)
 
 
-def hoelder_norm(fn, alpha: float, points: np.ndarray) -> float:
+def hoelder_norm(fn, alpha: float, points: np.ndarray):
     """max(sup |g|, max pair quotient |g(x)-g(y)| / |x-y|^alpha) over the cloud.
+
+    fn(points) gives the values of g at the points, or a points x k array
+    of the values of k functions: a 1-D array gives a float, a 2-D array one
+    value per column, each equal to the 1-column call on it.
 
     Certified lower bound for the true norm: every term is attained.  Pairs
     where both values vanish contribute 0 and are skipped exactly, and so
     are coincident points.
 
-    Only pairs that can beat the running best are examined.  best starts at
-    sup |g| and the quotients to each active point's nearest neighbours; a
-    pair at distance >= r has quotient <= 2 sup|g| / r^alpha, which is at
-    most best for r = (2 sup|g| / best)^(1/alpha).  The pairs within that
-    radius (widened by _PRUNE_MARGIN against rounding) come from a k-d tree,
-    and their quotients are computed exactly as a dense pass would compute
-    them, so the result equals the maximum over all pairs bit for bit.
+    Only pairs that can beat the running best are examined.  A column's best
+    starts at its sup |g| and its quotients to the nearest neighbours of the
+    points where some column is nonzero; a pair at distance >= r has
+    quotient <= 2 sup|g| / r^alpha, which is at most best for
+    r = (2 sup|g| / best)^(1/alpha).  The pairs within the largest column's
+    radius (widened by _PRUNE_MARGIN against rounding) come from one k-d
+    tree search, in blocks of at most _PAIRS_PER_BLOCK pairs x columns
+    counted beforehand.  Their quotients are computed exactly as a dense
+    pass would compute them, the same for (i, j) as for (j, i), so each
+    column's result equals the maximum over all its pairs bit for bit.
     """
     if not 0 < alpha <= 1:
         raise NormError("Hoelder exponent must lie in (0, 1]")
     from scipy.spatial import cKDTree
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(fn(points), dtype=float)
-    sup = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    active = np.flatnonzero(vals != 0.0)
-    if not len(active):
-        return sup
-    tree = cKDTree(points)
-    k = min(_HOELDER_NEIGHBOURS + 1, len(points))  # the point itself is one
-    near = tree.query(points[active], k=k)[1].reshape(-1)
-    best = max(sup, _max_quotient(points, vals, np.repeat(active, k), near,
-                                  alpha))
-    ratio = 2.0 * sup / best * (1.0 + _PRUNE_MARGIN)
-    # ratio ** (1/alpha) overflows beyond e^709; every pair is then in range
-    radius = ratio ** (1.0 / alpha) if math.log(ratio) < 700.0 * alpha \
-        else math.inf
-    step = max(1, _PAIRS_PER_BLOCK // len(points))
-    for start in range(0, len(active), step):
-        idx = active[start:start + step]
-        pairs = cKDTree(points[idx]).sparse_distance_matrix(
-            tree, radius, output_type="ndarray")
-        best = max(best, _max_quotient(points, vals, idx[pairs["i"]],
-                                       pairs["j"], alpha))
+    cols = vals[:, None] if vals.ndim == 1 else vals
+    sup = np.max(np.abs(cols), axis=0, initial=0.0)
+    best = sup
+    active = np.flatnonzero((cols != 0.0).any(axis=1))
+    if len(active):
+        tree = cKDTree(points)
+        k = min(_HOELDER_NEIGHBOURS + 1, len(points))  # the point itself is one
+        near = tree.query(points[active], k=k)[1].reshape(-1)
+        best = np.maximum(best, _max_quotients(points, cols, np.repeat(active, k),
+                                               near, alpha))
+        # the largest radius of a nonzero column (a zero column stays 0.0)
+        live = sup > 0.0
+        ratio = float(np.max(2.0 * sup[live] / best[live] * (1.0 + _PRUNE_MARGIN)))
+        # ratio ** (1/alpha) overflows beyond e^709; every pair is then in range
+        radius = ratio ** (1.0 / alpha) if math.log(ratio) < 700.0 * alpha \
+            else math.inf
+        cost = np.cumsum(tree.query_ball_point(points[active], radius,
+                                               return_length=True)) * cols.shape[1]
+        start = 0
+        while start < len(active):
+            stop = max(start + 1, int(np.searchsorted(
+                cost, (cost[start - 1] if start else 0) + _PAIRS_PER_BLOCK,
+                side="right")))
+            idx = active[start:stop]
+            pairs = cKDTree(points[idx]).sparse_distance_matrix(
+                tree, radius, output_type="ndarray")
+            best = np.maximum(best, _max_quotients(points, cols, idx[pairs["i"]],
+                                                   pairs["j"], alpha))
+            start = stop
+    return float(best[0]) if vals.ndim == 1 else best
+
+
+def _max_quotients(points: np.ndarray, cols: np.ndarray, i: np.ndarray,
+                   j: np.ndarray, alpha: float) -> np.ndarray:
+    """Each column's largest |g(x_i)-g(x_j)| / |x_i-x_j|^alpha over the index
+    pairs (i, j), 0.0 for no pairs, at most _PAIRS_PER_BLOCK pairs x columns
+    at a time."""
+    best = np.zeros(cols.shape[1])
+    step = max(1, _PAIRS_PER_BLOCK // cols.shape[1])
+    for start in range(0, len(i), step):
+        a, b = i[start:start + step], j[start:start + step]
+        dist = np.linalg.norm(np.take(points, a, axis=0) - np.take(points, b, axis=0),
+                              axis=1)
+        # coincident points (including i == j) contribute nothing
+        dist[dist == 0.0] = np.inf
+        quot = np.abs(np.take(cols, a, axis=0) - np.take(cols, b, axis=0)) / \
+            (dist ** alpha)[:, None]
+        best = np.maximum(best, np.max(quot, axis=0))
     return best
-
-
-def _max_quotient(points: np.ndarray, vals: np.ndarray, i: np.ndarray,
-                  j: np.ndarray, alpha: float) -> float:
-    """Largest |g(x_i)-g(x_j)| / |x_i-x_j|^alpha over the index pairs (i, j),
-    0.0 for no pairs."""
-    diff = np.take(points, i, axis=0) - np.take(points, j, axis=0)
-    dist = np.linalg.norm(diff, axis=1)
-    # coincident points (including i == j) contribute nothing
-    dist[dist == 0.0] = np.inf
-    quot = np.abs(np.take(vals, i) - np.take(vals, j)) / dist ** alpha
-    return float(np.max(quot)) if len(quot) else 0.0
 
 
 # -- Slobodeckij -------------------------------------------------------------
@@ -365,8 +402,8 @@ def slobodeckij_seminorm(fn, theta: float, p: float, domain: DomainSpec,
     boxes = _support_boxes(fn, domain, (lo, hi))
     if boxes == []:
         return 0.0
-    if boxes and not _boxes_disjoint(boxes):
-        boxes = None
+    boxes = [(blo, bhi) for blo, bhi, _ in boxes] \
+        if boxes and _boxes_disjoint(boxes) else None
     from scipy.special import roots_sh_jacobi, roots_sh_legendre
     beta = p * (1.0 - theta) - 1.0
     expo = d + theta * p

@@ -28,16 +28,29 @@ class DegenerateFitError(PackingError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackingResult:
+    """The chosen centers are lattice / den, one integer row per center (a
+    finite metric space's point indices, with den 1)."""
+
     delta: Fraction
     alpha: Fraction
-    centers: Tuple[Tuple[Fraction, ...], ...]
-    count: int
+    lattice: np.ndarray
+    den: int
     exact: bool = False  # True when produced by the brute-force oracle
 
+    @property
+    def count(self) -> int:
+        return len(self.lattice)
+
+    @property
+    def centers(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(int(c), self.den) for c in pt)
+                     for pt in self.lattice)
+
     def centers_array(self) -> np.ndarray:
-        return np.array([[float(c) for c in pt] for pt in self.centers], dtype=float)
+        # k / den in float64 is the correctly rounded float(Fraction(k, den))
+        return self.lattice / self.den
 
 
 def _euclidean_radius(delta: Fraction, alpha: Fraction) -> float:
@@ -119,10 +132,6 @@ def _lattice_greedy(pts: np.ndarray, min_sq: int) -> np.ndarray:
     return np.array(chosen, dtype=np.int64)
 
 
-def _as_fraction_points(pts: np.ndarray, den: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(int(c), den) for c in pt) for pt in pts)
-
-
 # the most cells a candidate grid may have (see greedy_packing)
 _MAX_GRID_CELLS = 1 << 22
 
@@ -172,9 +181,7 @@ def greedy_packing(domain: DomainSpec, delta, alpha=1,
 
     pts, den = _candidates_for(domain, delta, alpha, den)
     min_sq = _min_sq_lattice(delta, alpha, den)
-    chosen = _lattice_greedy(pts, min_sq)
-    centers = _as_fraction_points(pts[chosen], den)
-    return PackingResult(delta, alpha, centers, len(centers))
+    return PackingResult(delta, alpha, pts[_lattice_greedy(pts, min_sq)], den)
 
 
 def _far_predicate(delta: Fraction, alpha: Fraction) -> Callable[[Fraction], bool]:
@@ -192,8 +199,7 @@ def _finite_metric_greedy(domain: DomainSpec, delta: Fraction,
     for i in range(len(table)):
         if all(far(table[i][j]) for j in chosen):
             chosen.append(i)
-    centers = tuple((Fraction(i),) for i in chosen)
-    return PackingResult(delta, alpha, centers, len(chosen))
+    return PackingResult(delta, alpha, _indices(chosen), 1)
 
 
 def brute_force_packing(domain: DomainSpec, delta, alpha=1) -> PackingResult:
@@ -234,10 +240,14 @@ def brute_force_packing(domain: DomainSpec, delta, alpha=1) -> PackingResult:
 
     extend([], (1 << n) - 1, 0)
     if pts is None:
-        centers = tuple((Fraction(i),) for i in best)
-    else:
-        centers = _as_fraction_points(pts[np.array(best, dtype=np.int64)], den)
-    return PackingResult(delta, alpha, centers, len(best), exact=True)
+        return PackingResult(delta, alpha, _indices(best), 1, exact=True)
+    return PackingResult(delta, alpha, pts[np.array(best, dtype=np.int64)], den,
+                         exact=True)
+
+
+def _indices(chosen: List[int]) -> np.ndarray:
+    """A finite metric space's chosen points as one-column lattice rows."""
+    return np.array(chosen, dtype=np.int64).reshape(-1, 1)
 
 
 def exponent_fit(domain: DomainSpec, deltas: Sequence, alpha=1) -> float:

@@ -17,7 +17,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bumps import SignedSum, SmoothBumpMember, smooth_family, tent_family
-from .norms import DEFAULT_CONFIG, NormFunctional, QuadratureConfig
+from .norms import (DEFAULT_CONFIG, NormFunctional, QuadratureConfig,
+                    default_point_cloud)
 from .spaces import DomainSpec
 
 
@@ -41,6 +42,11 @@ class RademacherEstimate:
     patterns: int
 
 
+# the most cloud values (points x patterns) one point-cloud functional call
+# of rademacher_norm takes
+_CLOUD_VALUES = 1 << 20
+
+
 def _members_of(family) -> List:
     if hasattr(family, "members"):
         return list(family.members)
@@ -59,6 +65,12 @@ def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
     standard error of the mean.  seed may also be a numpy Generator that the
     caller shares across calls: it is used as is, so consecutive calls draw
     consecutive stretches of one sign stream.
+
+    Every pattern is a SignedSum.with_signs of one sum, so the patterns
+    share its member-value matrix.  A point-cloud NormFunctional (hoelder,
+    sup) measures up to _CLOUD_VALUES / cloud size patterns in one call on
+    their values stacked points x patterns, which gives each pattern the
+    value of its own call; any other functional is called once per pattern.
     """
     members = _members_of(family)
     n = len(members)
@@ -76,8 +88,22 @@ def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
         raise ModeError(f"unknown mode {mode!r}")
     # every pattern shares one member-value matrix per point set
     base = SignedSum(members, [1] * n)
-    vals = [functional(base.with_signs(signs), domain, config)
-            for signs in patterns]
+    if isinstance(functional, NormFunctional) and functional.kind in ("hoelder", "sup"):
+        # one pass of the functional over the cloud values of a chunk of
+        # patterns, stacked points x patterns
+        points = functional.points if functional.points is not None \
+            else default_point_cloud(base, domain)
+        functional = replace(functional, points=points)
+        step = max(1, _CLOUD_VALUES // max(1, len(points)))
+        vals = []
+        while chunk := [base.with_signs(signs)
+                        for signs in itertools.islice(patterns, step)]:
+            vals.extend(functional(
+                lambda X: np.column_stack([g(X) for g in chunk]), domain,
+                config).tolist())
+    else:
+        vals = [functional(base.with_signs(signs), domain, config)
+                for signs in patterns]
     stderr = None
     if mode == "monte-carlo":
         stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
@@ -155,7 +181,10 @@ def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
     b^alpha) / ((3^(1/alpha) - 2) r + a + b)^alpha <= 2/3, its value at
     a = b = r.  Within a bump it is at most 1, attained by a center and its
     witness.  Every pattern's Hoelder norm is 1 and the ratio is
-    sqrt(n) delta/3; scan still evaluates every pattern it draws.
+    sqrt(n) delta/3; scan still evaluates every pattern it draws.  At each
+    delta the members are evaluated on the cloud once (SignedSum's member
+    matrix), and the drawn patterns' values take one hoelder_norm pass
+    (rademacher_norm).
 
     The fitted slope estimates recipe.predicted_exponent; the log axis is n
     for sequence-space recipes and 1/delta otherwise.  One sign stream,

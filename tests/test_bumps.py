@@ -1,5 +1,6 @@
 """Bump constructions: reference bump, exact derivatives, families, tents."""
 
+import itertools
 import math
 
 import numpy as np
@@ -337,6 +338,65 @@ class TestMemberMatrix:
             h.with_signs([1])
         with pytest.raises(ValueError, match="signs must be"):
             h.with_signs([0] * len(h.members))
+
+
+class TestCellGrid:
+    """SignedSum finds each member's points on a uniform cell grid; the
+    oracle is the naive sum of every member at every point, compared with
+    == and np.signbit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_points_far_outside_every_box(self, d):
+        rng = np.random.default_rng(20 + d)
+        members = _random_members("tent", d, rng, 6) + \
+            _random_members("smooth", d, rng, 6)
+        h = SignedSum(members, [int(s) for s in rng.choice((1, -1), size=12)])
+        far = np.array([1e150, -1e150, np.inf, -np.inf, 40.0, -7.5])
+        X = np.vstack([rng.uniform(0, 1, size=(100, d)),
+                       np.repeat(far[:, None], d, axis=1),
+                       np.where(np.eye(d, dtype=bool), 1e150, 0.5)])
+        _assert_bitwise(h(X), _member_loop(h, X))
+        assert not h(X[100:]).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_member_kinds(self, d):
+        # tents and smooth bumps of one family each (one _values call per
+        # family), lone tents, smooth derivatives, indicators and members
+        # without a formula, interleaved
+        rng = np.random.default_rng(30 + d)
+        dom = cube(d)
+        tents = tent_family(dom, 1 / 12, 1 / 2).members[:10]
+        smooth = smooth_family(d, 1 / 8).members[:6]
+        mixed = _random_members("tent", d, rng, 4) + \
+            [m.derivative((1,) + (0,) * (d - 1)) for m in smooth[:3]] + \
+            _random_members("indicator", d, rng, 4) + \
+            [_Counting(m) for m in _random_members("smooth", d, rng, 3)]
+        members = list(itertools.chain.from_iterable(
+            itertools.zip_longest(tents, smooth, mixed)))
+        members = [m for m in members if m is not None]
+        h = SignedSum(members, [1] * len(members))
+        X = np.vstack([_face_points(members, rng, per_member=2),
+                       rng.uniform(-1.2, 1.2, size=(300, d))])
+        for signs in _sign_patterns(len(members), rng, k=3):
+            g = h.with_signs(signs)
+            _assert_bitwise(g(X), _member_loop(g, X))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_counting_members_see_only_nearby_points(self, d):
+        # a member is called on the points of the cells its box touches:
+        # within one widest box side of the box on each of the first 3 axes
+        rng = np.random.default_rng(40 + d)
+        inner = _random_members("tent", d, rng, 10)
+        members = [_Counting(m) for m in inner]
+        h = SignedSum(members, [int(s) for s in rng.choice((1, -1), size=10)])
+        X = rng.uniform(-0.5, 1.5, size=(2000, d))
+        _assert_bitwise(h(X), _member_loop(SignedSum(inner, h.signs), X))
+        boxes = [m.support_box for m in inner]
+        side = max(np.max(hi - lo) for lo, hi in boxes) * (1 + 1e-6)
+        for m, (lo, hi) in zip(members, boxes):
+            near = np.all((X > lo - side) & (X < hi + side), axis=1).sum()
+            assert 0 < m.points <= near
+        assert sum(m.points for m in members) < len(X) * len(members) / 2
 
 
 class TestFamilySeparation:

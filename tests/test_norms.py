@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +89,30 @@ class TestLpNorm:
                          0.25, 0.95, 0.25, lambda x: min(0.95, math.sqrt(1 - x * x)))
         val = lp_norm(m, 1, ball(2), QuadratureConfig(tolerance=1e-3))
         assert val == pytest.approx(ref, rel=1e-3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_each_box_is_integrated_against_its_member(self, d):
+        # test 04's signed sums: integrating each disjoint box against its
+        # member gives the value of the whole sum on each box, bit for bit
+        class Hidden:
+            """The sum without its members."""
+
+            def __init__(self, h):
+                self.h, self.support_boxes = h, h.support_boxes
+
+            def __call__(self, X):
+                return self.h(X)
+
+        cfg = QuadratureConfig(tolerance=1e-4)
+        rng = np.random.default_rng(d)
+        alphas = [(0,), (2,)] if d == 1 else [(0, 0), (1, 1)]
+        for delta in (Fraction(1, 2), Fraction(1, 4)):
+            fam = smooth_family(d, delta)
+            for alpha, p in zip(alphas, (1, 2)):
+                signs = [int(s) for s in rng.choice((1, -1), size=fam.n)]
+                h = fam.signed_sum(signs).derivative(alpha)
+                assert lp_norm(h, p, fam.domain, cfg) == \
+                    lp_norm(Hidden(h), p, fam.domain, cfg)
 
     def test_refusal_reports_the_last_relative_change(self):
         # levels of a fast oscillation keep moving up to the 2-D cap of 2048
@@ -230,6 +255,87 @@ class TestHoelderPruning:
         signs = np.random.default_rng(7).choice((1, -1), size=fam.n)
         h = fam.signed_sum([int(s) for s in signs])
         assert hoelder_norm(h, 1.0, cloud) == _dense_hoelder(h, 1.0, cloud)
+
+
+def _column(kind, rng, pts):
+    """One column of values on the cloud: zero, constant, a signed tent
+    sum, a slow linear function or random values."""
+    d = pts.shape[1]
+    if kind == "zero":
+        return np.zeros(len(pts))
+    if kind == "constant":
+        return np.full(len(pts), rng.normal())
+    if kind == "tents":
+        m = int(rng.integers(1, 6))
+        members = [TentMember(rng.uniform(0.0, 1.0, size=d),
+                              rng.uniform(0.05, 0.5), rng.uniform(0.2, 1.0))
+                   for _ in range(m)]
+        return SignedSum(members, [int(s) for s in rng.choice((1, -1), size=m)])(pts)
+    if kind == "slow":
+        return 5.0 + rng.uniform() + pts @ (rng.normal(size=d) * 1e-3)
+    return rng.normal(size=len(pts)) * (rng.uniform(size=len(pts)) < 0.7)
+
+
+@st.composite
+def _cloud_and_columns(draw):
+    """A random cloud in d = 1, 2, 3 (possibly with coincident points) and a
+    points x k value array of k = 1..5 columns of the kinds of _column."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    pts = rng.uniform(0.0, 1.0, size=(n, d))
+    pts = np.vstack([pts, pts[rng.integers(0, n, size=draw(st.integers(0, 5)))]])
+    kinds = draw(st.lists(st.sampled_from(["zero", "constant", "tents", "slow",
+                                           "random"]), min_size=1, max_size=5))
+    return pts, np.column_stack([_column(kind, rng, pts) for kind in kinds])
+
+
+class TestHoelderColumns:
+    """A points x k value array takes one pass; each column's value is its
+    1-column call's and the dense maximum's, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_cloud_and_columns(),
+           st.one_of(st.sampled_from([1e-3, 0.25, 0.5, 1.0]),
+                     st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+           st.sampled_from([1, 8, 100, 1 << 20]))
+    def test_each_column_equals_its_own_call(self, cloud_cols, alpha, budget):
+        pts, vals = cloud_cols
+        # a budget of 1..100 pairs x columns runs many count-sized blocks
+        with mock.patch.object(norms, "_PAIRS_PER_BLOCK", budget):
+            got = hoelder_norm(lambda X: vals, alpha, pts)
+            assert got.shape == (vals.shape[1],)
+            for c in range(vals.shape[1]):
+                col = vals[:, c].copy()
+                one = hoelder_norm(lambda X: col, alpha, pts)
+                assert isinstance(one, float)
+                assert got[c] == one == _dense_hoelder(lambda X: col, alpha, pts)
+
+    def test_zero_columns(self):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0.0, 1.0, size=(50, 2))
+        vals = np.zeros((50, 4))
+        vals[:, 1] = rng.normal(size=50)
+        vals[:, 3] = -0.0
+        got = hoelder_norm(lambda X: vals, 0.5, pts)
+        assert got[0] == got[2] == got[3] == 0.0
+        assert got[1] == _dense_hoelder(lambda X: vals[:, 1], 0.5, pts) > 0.0
+        assert np.array_equal(hoelder_norm(lambda X: np.zeros((50, 3)), 0.5, pts),
+                              np.zeros(3))
+        assert np.array_equal(hoelder_norm(lambda X: np.zeros((0, 2)), 0.5,
+                                           np.zeros((0, 2))), np.zeros(2))
+
+    def test_radius_overflow(self):
+        # at alpha = 1e-3 the pruning radius (2 sup / best)^1000 overflows:
+        # every pair is examined, for every column
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(0.0, 1.0, size=(60, 3))
+        vals = np.column_stack([rng.normal(size=60), np.full(60, 3.0),
+                                np.where(rng.uniform(size=60) < 0.2, 1.0, 0.0)])
+        got = hoelder_norm(lambda X: vals, 1e-3, pts)
+        for c in range(3):
+            col = vals[:, c].copy()
+            assert got[c] == _dense_hoelder(lambda X: col, 1e-3, pts)
 
 
 def _linear_seminorm(theta: float, p: float) -> float:

@@ -1,6 +1,7 @@
 """Packing numbers: greedy counts, exact separation and maximality, the
 brute-force oracle and the exponent fit."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 from rkhs_sandwich import (ball, brute_force_packing, cube, exponent_fit,
                            greedy_packing, packing)
+from rkhs_sandwich.cli import main
 from rkhs_sandwich.packing import DegenerateFitError, PackingError
 from rkhs_sandwich.spaces import finite_metric
 
@@ -187,6 +189,43 @@ class TestCandidateGrid:
         assert 2048 ** 2 == packing._MAX_GRID_CELLS
         with pytest.raises(PackingError, match=r"2049\^2 cells"):
             greedy_packing(cube(2), Fraction(1, 2), den=2050)
+
+
+class TestCenters:
+    """The float centers are k / den from the integer lattice, the Fraction
+    centers are built only where they are read."""
+
+    @pytest.mark.parametrize("dom,delta,alpha", [
+        (cube(1), Fraction(1, 8), Fraction(1)),
+        (cube(2), Fraction(1, 8), Fraction(1, 2)),
+        (cube(3), Fraction(1, 16), Fraction(1)),
+        (ball(1, Fraction(3, 2)), Fraction(1, 4), Fraction(1)),
+        (ball(2), Fraction(1, 8), Fraction(1, 2)),
+        (ball(3), Fraction(1, 4), Fraction(1)),
+    ])
+    def test_float_centers_are_the_fractions_rounded(self, dom, delta, alpha):
+        res = greedy_packing(dom, delta, alpha)
+        want = np.array([[float(c) for c in pt] for pt in res.centers], dtype=float)
+        got = res.centers_array()
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert res.count == len(res.centers) == len(got)
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["packing", "--domain", "cube:3", "--deltas", "1/4,1/8,1/16"],
+         "82addaefed7028a6f5ce4d3929ba7cfee7479ef17955340be67c78e6a5898590"),
+        (["packing", "--domain", "ball:2", "--deltas", "1/2,1/4,1/8",
+          "--alpha", "1/2"],
+         "1da837bd77166f72fedc23d66a31fb91c59e34f223e3d226061b21f7613a5754"),
+        (["packing", "--domain", "cube:1", "--deltas", "1/4", "--brute-force"],
+         "2056a75ab55b0c97df12e2bc97371eca1cf33e871d077ba63e42ace9faac4f89"),
+    ])
+    def test_packing_report_bytes(self, capsys, argv, digest):
+        # the sha256 of each report as the Fraction centers produced it
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExponentFit:

@@ -13,6 +13,7 @@ from rkhs_sandwich import (NormFunctional, QuadratureConfig, SignedSum, TentMemb
                            indicator_partition, lebesgue_lp, rademacher_norm, scan,
                            seq_l2_norm, sequence_lp, slobodeckij, smooth_family,
                            tent_family, whole_space)
+from rkhs_sandwich import norms, rademacher
 from rkhs_sandwich.rademacher import (DomainTooSmallError, ModeError, ScanError,
                                       _tent_cloud)
 
@@ -105,6 +106,43 @@ class TestSharedMemberMatrix:
             est = rademacher_norm(members, fn, dom, "monte-carlo", config, seed=seed)
             assert (est.value, est.stderr) == \
                 self._fresh_average(members, fn, dom, config, seed), fn.kind
+
+    def test_exhaustive_mode_matches_the_per_pattern_loop(self, monkeypatch):
+        # n = 12: 4096 patterns, in chunks of 100 patterns per functional call;
+        # a plain callable around the functional takes one call per pattern
+        rng = np.random.default_rng(12)
+        tents = [TentMember(c, w, a) for c, w, a in zip(
+            rng.uniform(0, 1, size=(12, 2)), rng.uniform(0.1, 0.3, 12),
+            rng.uniform(0.4, 1.0, 12))]
+        points = np.vstack([rng.uniform(0, 1, size=(18, 2))] +
+                           [t.center[None, :] for t in tents])
+        monkeypatch.setattr(rademacher, "_CLOUD_VALUES", 100 * len(points))
+        for fn in (NormFunctional("hoelder", holder_exponent=0.7, points=points),
+                   NormFunctional("sup", points=points)):
+            est = rademacher_norm(tents, fn, cube(2), config=FAST)
+            loop = rademacher_norm(tents, lambda g, dom, cfg: fn(g, dom, cfg),
+                                   cube(2), config=FAST)
+            assert est.patterns == 4096
+            assert est == loop, fn.kind
+
+    def test_one_hoelder_pass_per_average(self, monkeypatch):
+        # every drawn pattern's sum is evaluated on the cloud, and one
+        # hoelder_norm call measures them all
+        fam = tent_family(cube(2), Fraction(1, 12), Fraction(1, 2))
+        cloud = _tent_cloud(fam.centers, 1 / 12, 0.5, cube(2))
+        calls, evaluated = [], []
+        hoelder = norms.hoelder_norm
+        monkeypatch.setattr(norms, "hoelder_norm", lambda fn, alpha, pts: calls.append(
+            np.shape(fn(pts))) or hoelder(fn, alpha, pts))
+        call = SignedSum.__call__
+        monkeypatch.setattr(SignedSum, "__call__", lambda self, X: evaluated.append(
+            id(self)) or call(self, X))
+        fn = NormFunctional("hoelder", holder_exponent=0.5, points=cloud)
+        est = rademacher_norm(fam, fn, cube(2), "monte-carlo",
+                              QuadratureConfig(mc_samples=8), seed=3)
+        assert est.patterns == 8 and est.value == 1.0
+        assert calls == [(len(cloud), 8)]
+        assert len(set(evaluated)) == 8
 
 
 class TestTentCloud:
