@@ -13,7 +13,6 @@ which is hopeless near the flat support boundary.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,90 +247,76 @@ class IndicatorMember:
 class SignedSum:
     """sum_i eps_i f_i over family members with a fixed sign pattern.
 
+    A call gives the sum's values at the points X.  Given an n x k matrix
+    of +-1 signs, one row per member, it gives instead the points x k
+    values of the k sign patterns of its columns, column j equal bit for bit
+    to SignedSum(members, signs[:, j])(X): the members are evaluated once
+    for all k patterns.
+
     Every member must vanish exactly (value 0.0) outside its support_box:
     TentMember beyond radius delta^(1/alpha), SmoothBumpMember where
     w <= _W_FLOOR, IndicatorMember outside its cell.  A call evaluates the
-    members once per point set into a sparse member-value matrix: its rows
-    are the points, its columns the members in member order, and its
-    entries each member's values at its candidate points, with exact zeros
-    dropped.  The candidates come from a uniform cell grid on the first
-    _GRID_AXES axes (fixed-radius near-neighbour search; Bentley, Stanat &
-    Williams, Inf. Proc. Lett. 6, 1977) whose cell side on each axis is the
-    widest support box, widened by _BOX_PAD against rounding: a box then
-    touches 2 cells per axis (3 where a face rounds onto a cell edge), and
-    the points of those cells are its member's candidates.  The members that share a _batch key (tents of one
-    delta and alpha; smooth bumps of one dimension, delta and derivative)
-    are evaluated in one _values call with their params stacked per
-    candidate, by the formula their own __call__ uses; any other member is
-    called on its own candidates.  The sum is then one mat-vec, np.bincount
-    of the entries times their column's sign over the rows.  bincount adds
-    each row's entries in member order from 0.0, and a partial sum that
-    starts at 0.0 is never -0.0, so a dropped zero would have left it
-    unchanged: the values equal the sum over all members at all points bit
-    for bit, np.signbit included.
-
-    with_signs gives a SignedSum over the same members that shares the
-    support boxes, the grid and, from then on, the matrix of the last point
-    set any of the sharing sums was called on; the matrix is reused only on
-    points bit-identical to that set, so the sign patterns of one Rademacher
-    average evaluate the members once.  A sum that shares nothing keeps no
-    matrix.
+    members into a sparse member-value matrix: its rows are the points, its
+    columns the members in member order, and its entries each member's
+    values at its candidate points, with exact zeros dropped.  The
+    candidates come from a uniform cell grid on the first _GRID_AXES axes
+    (fixed-radius near-neighbour search; Bentley, Stanat & Williams, Inf.
+    Proc. Lett. 6, 1977) whose cell side on each axis is the widest support
+    box, widened by _BOX_PAD against rounding: a box then touches 2 cells
+    per axis (3 where a face rounds onto a cell edge), and the points of
+    those cells are its member's candidates.  The members that share a
+    _batch key (tents of one delta and alpha; smooth bumps of one
+    dimension, delta and derivative) are evaluated in one _values call with
+    their params stacked per candidate, by the formula their own __call__
+    uses.  The sums are then one np.bincount of the entries times their
+    column's signs over the (point, pattern) bins.  bincount adds each
+    bin's entries in member order from 0.0, and a partial sum that starts
+    at 0.0 is never -0.0, so a dropped zero would have left it unchanged:
+    the values equal the sum over all members at all points bit for bit,
+    np.signbit included.
     """
 
     def __init__(self, members: Sequence, signs: Sequence[int]):
         self.members = list(members)
-        self.signs = _checked_signs(signs, len(self.members))
+        self.signs = list(signs)
+        # the sum's own signs as an n x 1 sign matrix
+        self._column = _checked_signs(self.signs, len(self.members), 1)[:, None]
         self._boxes = [m.support_box for m in self.members]
         self._grid = _CellGrid(self._boxes)
         # the members that share a _batch key form one group, kept as (a
-        # representative, their params stacked, or None for a member without
-        # a _batch formula, which is a group of its own); a member's group
-        # and its row in the stacked params
-        batches = [getattr(m, "_batch", None) for m in self.members]
+        # representative, their params stacked); a member's group and its
+        # row in the stacked params
+        batches = [m._batch for m in self.members]
         keyed: Dict = {}
-        for j, b in enumerate(batches):
-            keyed.setdefault(j if b is None else b[0], []).append(j)
+        for j, (key, _) in enumerate(batches):
+            keyed.setdefault(key, []).append(j)
         self._groups = []
         self._group_of = np.empty(len(self.members), dtype=np.intp)
         self._slot = np.empty(len(self.members), dtype=np.intp)
         for g, js in enumerate(keyed.values()):
-            params = None if batches[js[0]] is None else \
-                [np.array(p) for p in zip(*(batches[j][1] for j in js))]
+            params = [np.array(p) for p in zip(*(batches[j][1] for j in js))]
             self._groups.append((self.members[js[0]], params))
             self._group_of[js] = g
             self._slot[js] = np.arange(len(js))
-        # [(a copy of the points, the matrix)] of the last call, one list
-        # shared by the sums that with_signs makes
-        self._last = None
 
     @property
     def support_boxes(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         return list(self._boxes)
 
-    def with_signs(self, signs: Sequence[int]) -> "SignedSum":
-        """The same members with another sign pattern, sharing this sum's
-        support boxes, cell grid and member-value matrix."""
-        if self._last is None:
-            self._last = [None]
-        other = copy.copy(self)
-        other.signs = _checked_signs(signs, len(self.members))
-        return other
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
+    def __call__(self, X: np.ndarray, signs=None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        S = self._column if signs is None \
+            else _checked_signs(signs, len(self.members), 2)
+        k = S.shape[1]
         rows, cols, vals = self._matrix(X)
-        weights = np.asarray(self.signs, dtype=float)[cols] * vals
-        return np.bincount(rows, weights, minlength=len(X))
+        out = np.bincount((rows[:, None] * k + np.arange(k)).ravel(),
+                          (S[cols] * vals[:, None]).ravel(),
+                          minlength=len(X) * k).reshape(len(X), k)
+        return out[:, 0] if signs is None else out
 
     def _matrix(self, X: np.ndarray):
         """(rows, cols, vals): the member-value matrix's nonzero entries,
         member by member, as point indices, member indices and values."""
-        if self._last is not None:
-            last = self._last[0]
-            if last is not None and \
-                    np.array_equal(X.view(np.uint64), last[0].view(np.uint64)):
-                return last[1]  # the same points, bit for bit
-            self._last[0] = None  # free the old matrix first
         rows, cols = self._grid.candidates(X)
         vals = np.empty(len(rows))
         group = self._group_of[cols]
@@ -339,18 +324,11 @@ class SignedSum:
         bounds = np.searchsorted(group[by_group], np.arange(len(self._groups) + 1))
         for g, (rep, params) in enumerate(self._groups):
             sel = by_group[bounds[g]:bounds[g + 1]]
-            if not len(sel):
-                continue
-            if params is None:  # a member without a _batch formula
-                vals[sel] = rep(X[rows[sel]])
-            else:
+            if len(sel):
                 slot = self._slot[cols[sel]]
                 vals[sel] = rep._values(X[rows[sel]], *(p[slot] for p in params))
         nz = (vals != 0.0).nonzero()[0]
-        matrix = (rows[nz], cols[nz], vals[nz])
-        if self._last is not None:
-            self._last[0] = (X.copy(), matrix)
-        return matrix
+        return rows[nz], cols[nz], vals[nz]
 
     def derivative(self, alpha: Sequence[int]) -> "SignedSum":
         return SignedSum([m.derivative(alpha) for m in self.members], self.signs)
@@ -410,13 +388,16 @@ class _CellGrid:
         return order[np.arange(len(shift)) + shift], np.repeat(self.owner, count)
 
 
-def _checked_signs(signs: Sequence[int], n: int) -> List[int]:
-    signs = list(signs)
-    if len(signs) != n:
-        raise ValueError("one sign per member")
-    if any(s not in (-1, 1) for s in signs):
+def _checked_signs(signs, n: int, ndim: int) -> np.ndarray:
+    """signs as floats: one per member (ndim 1), or one row of them per
+    member (ndim 2); every entry +-1."""
+    S = np.asarray(signs)
+    if S.ndim != ndim or len(S) != n:
+        raise ValueError("one sign per member" if ndim == 1
+                         else "one row of signs per member")
+    if not np.isin(S, (-1, 1)).all():
         raise ValueError("signs must be +-1")
-    return signs
+    return S.astype(float)
 
 
 @dataclass
@@ -465,9 +446,6 @@ class BumpFamily:
 
     def signed_sum(self, signs: Sequence[int]) -> SignedSum:
         return SignedSum(self.members, signs)
-
-    def all_plus(self) -> SignedSum:
-        return self.signed_sum([1] * self.n)
 
 
 def smooth_family(dimension: int, delta, n: Optional[int] = None,

@@ -168,8 +168,11 @@ def cmd_scan(args) -> int:
     series = scan(verdict.obstruction, e_fun, f_fun, deltas, domain=domain,
                   seed=args.seed, config=config)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(series.to_csv())
+        try:
+            with open(args.csv, "w") as fh:
+                fh.write(series.to_csv())
+        except OSError as exc:
+            raise ValueError(f"cannot write --csv {args.csv!r}: {exc.strerror}") from None
     payload = {
         "points": [{"delta": d, "n": n, "ratio": r} for d, n, r in series.points],
         "fitted_slope": series.fitted_slope,

@@ -168,12 +168,7 @@ def greedy_packing(domain: DomainSpec, delta, alpha=1,
     benchmark lay fits, up to tent-scan's 63^3 = 250,047 and the 262,143 of
     a holder:1/4 scan on cube:1 at delta 1/16.
     """
-    delta, alpha = Fraction(delta), Fraction(alpha)
-    if delta <= 0:
-        raise PackingError("delta must be positive")
-    if not (0 < alpha <= 1):
-        raise PackingError("metric power alpha must lie in (0, 1]")
-
+    delta, alpha = _checked_scale(delta, alpha)
     if domain.kind == "finite-metric-set":
         return _finite_metric_greedy(domain, delta, alpha)
     if not domain.bounded:
@@ -182,6 +177,17 @@ def greedy_packing(domain: DomainSpec, delta, alpha=1,
     pts, den = _candidates_for(domain, delta, alpha, den)
     min_sq = _min_sq_lattice(delta, alpha, den)
     return PackingResult(delta, alpha, pts[_lattice_greedy(pts, min_sq)], den)
+
+
+def _checked_scale(delta, alpha) -> Tuple[Fraction, Fraction]:
+    """delta and alpha as Fractions, refused unless delta > 0 and
+    0 < alpha <= 1."""
+    delta, alpha = Fraction(delta), Fraction(alpha)
+    if delta <= 0:
+        raise PackingError("delta must be positive")
+    if not (0 < alpha <= 1):
+        raise PackingError("metric power alpha must lie in (0, 1]")
+    return delta, alpha
 
 
 def _far_predicate(delta: Fraction, alpha: Fraction) -> Callable[[Fraction], bool]:
@@ -204,21 +210,22 @@ def _finite_metric_greedy(domain: DomainSpec, delta: Fraction,
 
 def brute_force_packing(domain: DomainSpec, delta, alpha=1) -> PackingResult:
     """Exact maximum packing over the candidate set (<= 24 candidates)."""
-    delta, alpha = Fraction(delta), Fraction(alpha)
+    delta, alpha = _checked_scale(delta, alpha)
+    pts = None
     if domain.kind == "finite-metric-set":
-        far = _far_predicate(delta, alpha)
-        compat = [[far(dist) for dist in row] for row in domain.metric_table]
-        n = len(compat)
-        pts = None
+        n = len(domain.metric_table)
     else:
         pts, den = _candidates_for(domain, delta, alpha, None)
         n = len(pts)
-        min_sq = _min_sq_lattice(delta, alpha, den)
-        diff = pts[:, None, :] - pts[None, :, :]
-        sq = (diff * diff).sum(axis=2)
-        compat = (sq >= min_sq).tolist()
     if n > 24:
         raise PackingError(f"brute-force mode limited to 24 candidates, got {n}")
+    if pts is None:
+        far = _far_predicate(delta, alpha)
+        compat = [[far(dist) for dist in row] for row in domain.metric_table]
+    else:
+        min_sq = _min_sq_lattice(delta, alpha, den)
+        diff = pts[:, None, :] - pts[None, :, :]
+        compat = ((diff * diff).sum(axis=2) >= min_sq).tolist()
 
     # maximum independent set in the conflict graph, via branch and bound
     masks = [0] * n

@@ -66,11 +66,11 @@ def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
     caller shares across calls: it is used as is, so consecutive calls draw
     consecutive stretches of one sign stream.
 
-    Every pattern is a SignedSum.with_signs of one sum, so the patterns
-    share its member-value matrix.  A point-cloud NormFunctional (hoelder,
-    sup) measures up to _CLOUD_VALUES / cloud size patterns in one call on
-    their values stacked points x patterns, which gives each pattern the
-    value of its own call; any other functional is called once per pattern.
+    A point-cloud NormFunctional (hoelder, sup) measures up to
+    _CLOUD_VALUES / cloud size patterns in one call on one SignedSum's
+    values for their sign matrix, stacked points x patterns, which gives
+    each pattern the value of its own call; any other functional is called
+    once per pattern, on that pattern's SignedSum.
     """
     members = _members_of(family)
     n = len(members)
@@ -86,23 +86,20 @@ def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
                     for _ in range(config.mc_samples))
     else:
         raise ModeError(f"unknown mode {mode!r}")
-    # every pattern shares one member-value matrix per point set
-    base = SignedSum(members, [1] * n)
     if isinstance(functional, NormFunctional) and functional.kind in ("hoelder", "sup"):
         # one pass of the functional over the cloud values of a chunk of
-        # patterns, stacked points x patterns
+        # patterns, the members evaluated once for the whole chunk
+        base = SignedSum(members, [1] * n)
         points = functional.points if functional.points is not None \
             else default_point_cloud(base, domain)
         functional = replace(functional, points=points)
         step = max(1, _CLOUD_VALUES // max(1, len(points)))
         vals = []
-        while chunk := [base.with_signs(signs)
-                        for signs in itertools.islice(patterns, step)]:
-            vals.extend(functional(
-                lambda X: np.column_stack([g(X) for g in chunk]), domain,
-                config).tolist())
+        while chunk := list(itertools.islice(patterns, step)):
+            S = np.array(chunk).T
+            vals.extend(functional(lambda X: base(X, S), domain, config).tolist())
     else:
-        vals = [functional(base.with_signs(signs), domain, config)
+        vals = [functional(SignedSum(members, signs), domain, config)
                 for signs in patterns]
     stderr = None
     if mode == "monte-carlo":
@@ -114,8 +111,17 @@ def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
 def seq_l2_norm(family, functional: NormFunctional, domain: DomainSpec,
                 config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """(sum_i ||f_i||_F^2)^(1/2)."""
-    members = _members_of(family)
-    return math.sqrt(sum(functional(m, domain, config) ** 2 for m in members))
+    return _root_sum_of_squares(functional(m, domain, config)
+                                for m in _members_of(family))
+
+
+def _root_sum_of_squares(values) -> float:
+    """sqrt of the sum of the squares, added left to right: sum() of floats
+    is compensated from Python 3.12 on, which would move the scan ratios."""
+    total = 0.0
+    for v in values:
+        total += v ** 2
+    return math.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -182,9 +188,9 @@ def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
     a = b = r.  Within a bump it is at most 1, attained by a center and its
     witness.  Every pattern's Hoelder norm is 1 and the ratio is
     sqrt(n) delta/3; scan still evaluates every pattern it draws.  At each
-    delta the members are evaluated on the cloud once (SignedSum's member
-    matrix), and the drawn patterns' values take one hoelder_norm pass
-    (rademacher_norm).
+    delta one SignedSum call gives the values of all the drawn patterns on
+    the cloud, evaluating each member once, and one hoelder_norm pass
+    measures them (rademacher_norm).
 
     The fitted slope estimates recipe.predicted_exponent; the log axis is n
     for sequence-space recipes and 1/delta otherwise.  One sign stream,
@@ -280,9 +286,9 @@ def _tents_at(recipe, dl, rad_fun, seq_fun, domain, rng,
     cloud = _tent_cloud(fam.centers, float(dl) / 3, float(alpha), domain)
     members = fam.members
     # each member's sequence-side norm on its own center/witness pair
-    seq = math.sqrt(sum(
-        replace(seq_fun, points=cloud[[i, n + i]])(m, domain, config) ** 2
-        for i, m in enumerate(members)))
+    seq = _root_sum_of_squares(
+        replace(seq_fun, points=cloud[[i, n + i]])(m, domain, config)
+        for i, m in enumerate(members))
     rad = rademacher_norm(members, replace(rad_fun, points=cloud), domain,
                           "monte-carlo", _sign_config(n, config), seed=rng).value
     return n, rad, seq

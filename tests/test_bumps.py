@@ -237,7 +237,7 @@ class TestSignedSumSlices:
 
     def test_empty_points(self):
         fam = tent_family(cube(2), 1 / 12, 1 / 2)
-        h = fam.all_plus()
+        h = fam.signed_sum([1] * fam.n)
         X = np.empty((0, 2))
         _assert_bitwise(h(X), _member_loop(h, X))
         assert h(X).shape == (0,)
@@ -251,7 +251,7 @@ class TestSignedSumSlices:
 
 
 class _Counting:
-    """A member that counts the points it is evaluated at."""
+    """A member that counts the points SignedSum evaluates it at."""
 
     def __init__(self, member):
         self.member, self.points = member, 0
@@ -260,8 +260,15 @@ class _Counting:
     def support_box(self):
         return self.member.support_box
 
-    def __call__(self, X):
+    @property
+    def _batch(self):
+        return (_Counting, id(self)), ()
+
+    def _values(self, X):
         self.points += len(X)
+        return self.member(X)
+
+    def __call__(self, X):
         return self.member(X)
 
 
@@ -270,74 +277,81 @@ def _sign_patterns(n, rng, k=6):
         [int(s) for s in rng.choice((1, -1), size=n)] for _ in range(k)]
 
 
+def _assert_columns(got, members, S, X):
+    """Column j of got is SignedSum(members, S[:, j])(X) and the naive sum
+    of that pattern, bit for bit."""
+    assert got.shape == (len(X), S.shape[1])
+    for j in range(S.shape[1]):
+        g = SignedSum(members, S[:, j])
+        _assert_bitwise(got[:, j], g(X))
+        _assert_bitwise(got[:, j], _member_loop(g, X))
+
+
 class TestMemberMatrix:
-    """with_signs runs every sign pattern as one mat-vec over the
-    member-value matrix of its point set; the oracle is the naive sum of
-    every member at every point, compared with == and np.signbit."""
+    """A call with an n x k sign matrix gives the sums of its k column
+    patterns from one evaluation of the members; the oracles are the
+    one-pattern sum and the naive sum of every member at every point,
+    compared with == and np.signbit."""
 
     @pytest.mark.parametrize("kind", ["tent", "smooth", "smooth-derivative",
                                       "indicator"])
     def test_with_signs_matches_the_naive_sum(self, kind):
-        rng = np.random.default_rng(len(kind))
-        members = _random_members(kind.split("-")[0], 2, rng, 12)
-        if kind == "smooth-derivative":
-            members = [m.derivative((1, 1)) for m in members]
-        X = np.vstack([_face_points(members, rng),
-                       rng.uniform(-0.2, 1.5, size=(200, 2))])
-        h = SignedSum(members, [1] * 12)
-        for signs in _sign_patterns(12, rng):
-            g = h.with_signs(signs)
-            _assert_bitwise(g(X), _member_loop(g, X))
-        assert h.signs == [1] * 12
+        for d in (1, 2, 3):
+            rng = np.random.default_rng(10 * d + len(kind))
+            members = _random_members(kind.split("-")[0], d, rng, 12)
+            if kind == "smooth-derivative":
+                members = [m.derivative((1,) * d) for m in members]
+            X = np.vstack([_face_points(members, rng),
+                           rng.uniform(-0.2, 1.5, size=(200, d))])
+            S = np.array(_sign_patterns(12, rng)).T
+            h = SignedSum(members, [1] * 12)
+            _assert_columns(h(X, signs=S), members, S, X)
+            _assert_bitwise(h(X, signs=S)[:, 0], h(X))  # S[:, 0] is all +1
+            _assert_columns(h(X, signs=S[:, 2:3]), members, S[:, 2:3], X)
+            _assert_columns(h(X[:0], signs=S), members, S, X[:0])
 
     def test_overlapping_members(self):
+        # the same tent twice: opposite signs cancel to an exact +0.0
         t = TentMember(np.array([0.5]), 0.25, 1.0)
         h = SignedSum([t, t], [-1, 1])
         X = np.linspace(0, 1, 41).reshape(-1, 1)
-        h(X)
-        for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
-            g = h.with_signs(signs)
-            _assert_bitwise(g(X), _member_loop(g, X))
+        S = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])
+        got = h(X, signs=S)
+        _assert_columns(got, [t, t], S, X)
+        assert not np.signbit(got[:, 1:3]).any()
 
-    def test_members_are_evaluated_once_per_point_set(self):
+    def test_members_are_evaluated_once_per_call(self):
         rng = np.random.default_rng(3)
         members = [_Counting(m) for m in _random_members("tent", 2, rng, 8)]
         h = SignedSum(members, [1] * 8)
-        sums = [h.with_signs(signs) for signs in _sign_patterns(8, rng)]
-        X = rng.uniform(0, 1, size=(300, 2))
-        sums[0](X)
-        evaluated = sum(m.points for m in members)
-        assert evaluated > 0
-        for g in sums[1:] + [h]:
-            g(X.copy())  # equal points in another array
-        assert sum(m.points for m in members) == evaluated
-
-    def test_never_reuses_a_matrix_on_other_points(self):
-        rng = np.random.default_rng(4)
-        members = [_Counting(m) for m in _random_members("tent", 2, rng, 8)]
-        h = SignedSum(members, [1] * 8)
-        g = h.with_signs([1, -1] * 4)
         X = rng.uniform(0, 1, size=(300, 2))
         h(X)
-        # the caller's array changed in place: a point moves onto a center
-        X[7] = members[2].member.center
-        _assert_bitwise(g(X), _member_loop(g, X))
-        # the same points in another order, and one coordinate one ulp off
-        Y = X[::-1]
-        _assert_bitwise(g(Y), _member_loop(g, Y))
-        Z = X.copy()
-        Z[7, 1] = np.nextafter(Z[7, 1], 2.0)
-        _assert_bitwise(g(Z), _member_loop(g, Z))
-        # a point set of another shape, then the first one again
-        _assert_bitwise(g(X[:50]), _member_loop(g, X[:50]))
-        _assert_bitwise(h(X), _member_loop(h, X))
+        once = sum(m.points for m in members)
+        assert once > 0
+        h(X, signs=np.array(_sign_patterns(8, rng)).T)
+        assert sum(m.points for m in members) == 2 * once
 
     def test_with_signs_checks_its_signs(self):
-        h = tent_family(cube(2), 1 / 12, 1 / 2).all_plus()
-        with pytest.raises(ValueError, match="one sign per member"):
-            h.with_signs([1])
-        with pytest.raises(ValueError, match="signs must be"):
-            h.with_signs([0] * len(h.members))
+        fam = tent_family(cube(2), 1 / 12, 1 / 2)
+        h = fam.signed_sum([1] * fam.n)
+        n, X = fam.n, fam.centers
+        for bad, message in (
+                (np.ones((n - 1, 3)), "one row of signs per member"),
+                (np.ones(n), "one row of signs per member"),
+                (np.ones((n, 2, 1)), "one row of signs per member"),
+                (np.zeros((n, 2)), "signs must be"),
+                (np.full((n, 2), 0.5), "signs must be"),
+                (np.full((n, 1), np.nan), "signs must be"),
+                ([["+", "-"]] * n, "signs must be"),
+                ([[None, 1]] * n, "signs must be")):
+            with pytest.raises(ValueError, match=message):
+                h(X, signs=bad)
+        for bad, message in (([1], "one sign per member"),
+                             ([[1]] * n, "one sign per member"),
+                             ([0] * n, "signs must be"),
+                             (["1"] * n, "signs must be")):
+            with pytest.raises(ValueError, match=message):
+                fam.signed_sum(bad)
 
 
 class TestCellGrid:
@@ -361,8 +375,8 @@ class TestCellGrid:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mixed_member_kinds(self, d):
         # tents and smooth bumps of one family each (one _values call per
-        # family), lone tents, smooth derivatives, indicators and members
-        # without a formula, interleaved
+        # family), lone tents, smooth derivatives, indicators and counting
+        # members, interleaved
         rng = np.random.default_rng(30 + d)
         dom = cube(d)
         tents = tent_family(dom, 1 / 12, 1 / 2).members[:10]
@@ -377,9 +391,8 @@ class TestCellGrid:
         h = SignedSum(members, [1] * len(members))
         X = np.vstack([_face_points(members, rng, per_member=2),
                        rng.uniform(-1.2, 1.2, size=(300, d))])
-        for signs in _sign_patterns(len(members), rng, k=3):
-            g = h.with_signs(signs)
-            _assert_bitwise(g(X), _member_loop(g, X))
+        S = np.array(_sign_patterns(len(members), rng, k=3)).T
+        _assert_columns(h(X, signs=S), members, S, X)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_counting_members_see_only_nearby_points(self, d):

@@ -45,7 +45,7 @@ class TestLpNorm:
         dom = ball(1, 2)
         centers = np.array([[-1.125], [-0.375], [0.375], [1.125]])
         fam = smooth_family(1, Fraction(1, 4), domain=dom, centers=centers)
-        h = fam.all_plus()
+        h = fam.signed_sum([1] * fam.n)
         base = SmoothBumpMember(1, np.zeros(1), 1.0)
         assert lp_norm(h, 2, dom, TIGHT) == \
             pytest.approx(lp_norm(base, 2, dom, TIGHT), rel=1e-4)
@@ -55,7 +55,7 @@ class TestLpNorm:
         dom = ball(1, 2)
         centers = np.array([[-1.125], [-0.375], [0.375], [1.125]])
         fam = smooth_family(1, Fraction(1, 4), domain=dom, centers=centers)
-        h = fam.all_plus().derivative((1,))
+        h = fam.signed_sum([1] * fam.n).derivative((1,))
         base = SmoothBumpMember(1, np.zeros(1), 1.0).derivative((1,))
         assert lp_norm(h, 1, dom, TIGHT) == \
             pytest.approx(4.0 * lp_norm(base, 1, dom, TIGHT), rel=1e-4)

@@ -41,6 +41,19 @@ class TestGreedy:
         assert brute.exact
         assert greedy.count == brute.count == 4
 
+    def test_brute_force_refuses_what_greedy_refuses(self):
+        for delta, alpha, message in ((0, 1, "delta must be positive"),
+                                      (Fraction(1, 4), 0, "alpha must lie"),
+                                      (Fraction(1, 4), 2, "alpha must lie")):
+            for packer in (greedy_packing, brute_force_packing):
+                with pytest.raises(PackingError, match=message):
+                    packer(cube(1), delta, alpha)
+
+    def test_brute_force_counts_candidates_before_pairing_them(self):
+        # 2^22 - 1 candidates are refused by their count, never paired up
+        with pytest.raises(PackingError, match="24 candidates, got 4194303"):
+            brute_force_packing(cube(1), Fraction(1, 1024), Fraction(1, 2))
+
     def test_two_point_space(self):
         dom = finite_metric([[0, 1], [1, 0]])
         assert greedy_packing(dom, Fraction(1, 2)).count == 2

@@ -1,5 +1,6 @@
 """Rademacher averages, sequence norms, and blow-up scans."""
 
+import itertools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -14,8 +15,8 @@ from rkhs_sandwich import (NormFunctional, QuadratureConfig, SignedSum, TentMemb
                            seq_l2_norm, sequence_lp, slobodeckij, smooth_family,
                            tent_family, whole_space)
 from rkhs_sandwich import norms, rademacher
-from rkhs_sandwich.rademacher import (DomainTooSmallError, ModeError, ScanError,
-                                      _tent_cloud)
+from rkhs_sandwich.rademacher import (DomainTooSmallError, ModeError,
+                                      RademacherEstimate, ScanError, _tent_cloud)
 
 FAST = QuadratureConfig(resolution=16, tolerance=1e-4)
 
@@ -49,7 +50,7 @@ class TestRademacherNorm:
         fam = smooth_family(1, 0.125)
         fn = NormFunctional("lp-of-derivative", alpha=(0,), p=2.0)
         est = rademacher_norm(fam, fn, fam.domain, config=FAST)
-        single = fn(fam.all_plus(), fam.domain, FAST)
+        single = fn(fam.signed_sum([1] * fam.n), fam.domain, FAST)
         assert est.value == pytest.approx(single, rel=1e-12)
 
     def test_exhaustive_mode_cap(self):
@@ -71,8 +72,8 @@ class TestRademacherNorm:
 
 
 class TestSharedMemberMatrix:
-    """rademacher_norm runs every pattern through one SignedSum's
-    with_signs; a fresh SignedSum per pattern is the oracle."""
+    """rademacher_norm evaluates a chunk of patterns in one SignedSum call
+    on their sign matrix; a fresh SignedSum per pattern is the oracle."""
 
     @staticmethod
     def _fresh_average(members, fn, dom, config, seed):
@@ -108,8 +109,9 @@ class TestSharedMemberMatrix:
                 self._fresh_average(members, fn, dom, config, seed), fn.kind
 
     def test_exhaustive_mode_matches_the_per_pattern_loop(self, monkeypatch):
-        # n = 12: 4096 patterns, in chunks of 100 patterns per functional call;
-        # a plain callable around the functional takes one call per pattern
+        # n = 12: 4096 patterns, in chunks of 100 patterns per functional
+        # call; the oracle measures each pattern's naive sum, every member at
+        # every point added in member order from 0, on its own
         rng = np.random.default_rng(12)
         tents = [TentMember(c, w, a) for c, w, a in zip(
             rng.uniform(0, 1, size=(12, 2)), rng.uniform(0.1, 0.3, 12),
@@ -117,32 +119,41 @@ class TestSharedMemberMatrix:
         points = np.vstack([rng.uniform(0, 1, size=(18, 2))] +
                            [t.center[None, :] for t in tents])
         monkeypatch.setattr(rademacher, "_CLOUD_VALUES", 100 * len(points))
+        def naive(signs):
+            return lambda X: sum(s * t(X) for s, t in zip(signs, tents))
         for fn in (NormFunctional("hoelder", holder_exponent=0.7, points=points),
                    NormFunctional("sup", points=points)):
-            est = rademacher_norm(tents, fn, cube(2), config=FAST)
-            loop = rademacher_norm(tents, lambda g, dom, cfg: fn(g, dom, cfg),
-                                   cube(2), config=FAST)
-            assert est.patterns == 4096
-            assert est == loop, fn.kind
+            loop = [fn(naive(signs), cube(2), FAST)
+                    for signs in itertools.product((1, -1), repeat=12)]
+            assert rademacher_norm(tents, fn, cube(2), config=FAST) == \
+                RademacherEstimate(float(np.mean(loop)), None, "exhaustive", 4096), \
+                fn.kind
 
     def test_one_hoelder_pass_per_average(self, monkeypatch):
-        # every drawn pattern's sum is evaluated on the cloud, and one
-        # hoelder_norm call measures them all
+        # one SignedSum call evaluates the members once for all the drawn
+        # patterns, and one hoelder_norm call measures them all
         fam = tent_family(cube(2), Fraction(1, 12), Fraction(1, 2))
         cloud = _tent_cloud(fam.centers, 1 / 12, 0.5, cube(2))
-        calls, evaluated = [], []
+        calls, evaluated, matrices = [], [], []
         hoelder = norms.hoelder_norm
         monkeypatch.setattr(norms, "hoelder_norm", lambda fn, alpha, pts: calls.append(
-            np.shape(fn(pts))) or hoelder(fn, alpha, pts))
-        call = SignedSum.__call__
-        monkeypatch.setattr(SignedSum, "__call__", lambda self, X: evaluated.append(
-            id(self)) or call(self, X))
+            len(pts)) or hoelder(fn, alpha, pts))
+
+        def call(self, X, signs=None, call=SignedSum.__call__):
+            out = call(self, X, signs)
+            evaluated.append((np.shape(signs), out.shape))
+            return out
+        monkeypatch.setattr(SignedSum, "__call__", call)
+        matrix = SignedSum._matrix
+        monkeypatch.setattr(SignedSum, "_matrix", lambda self, X: matrices.append(
+            len(X)) or matrix(self, X))
         fn = NormFunctional("hoelder", holder_exponent=0.5, points=cloud)
         est = rademacher_norm(fam, fn, cube(2), "monte-carlo",
                               QuadratureConfig(mc_samples=8), seed=3)
         assert est.patterns == 8 and est.value == 1.0
-        assert calls == [(len(cloud), 8)]
-        assert len(set(evaluated)) == 8
+        assert calls == [len(cloud)]
+        assert evaluated == [((fam.n, 8), (len(cloud), 8))]
+        assert matrices == [len(cloud)]
 
 
 class TestTentCloud:
@@ -327,6 +338,22 @@ class TestScan:
         assert [n for _, n, _ in series.points] == [80, 704]
         for dl, n, ratio in series.points:
             assert ratio == pytest.approx(math.sqrt(n) * dl / 3, rel=0, abs=1e-12)
+
+    def test_sequence_sums_add_left_to_right(self, monkeypatch):
+        # sum() of floats is compensated from Python 3.12 on; math.fsum in
+        # its place must move neither acceptance test 06's tent ratios nor a
+        # sequence norm whose small squares a left-to-right sum drops
+        monkeypatch.setattr(rademacher, "sum", math.fsum, raising=False)
+        dom = cube(3)
+        recipe = decide_bounded_target(holder(1, dom), "sup").obstruction
+        series = scan(recipe, NormFunctional("hoelder", holder_exponent=1.0),
+                      NormFunctional("sup"),
+                      [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)], domain=dom,
+                      seed=7, config=QuadratureConfig(mc_samples=8, tolerance=1e-4))
+        assert [repr(r) for _, _, r in series.points] == \
+            ["0.7453559924999292", "1.1055415967851419", "1.5275252316518555"]
+        norms_of = [1.0] + [1.05e-8] * 10
+        assert seq_l2_norm(norms_of, lambda v, dom, cfg: v, dom) == 1.0
 
     def test_indicator_scan_points(self):
         # recorded points for a type-2 scan on the line and a cotype-2 scan

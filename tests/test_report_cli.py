@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,25 +227,117 @@ def _decide_args(draw):
     return argv if domain is None else argv + ["--domain", domain]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_decide_args())
-def test_decide_exit_contract(argv):
-    # any --from/--to/--domain exits 0/10/11/12 with one JSON document, or
-    # 64 with nothing on stdout; never a traceback
+def _check_exit_contract(argv, codes):
+    """main(argv) exits with one of codes and prints one JSON document, or
+    exits 64 with nothing on stdout and a message on stderr; it never
+    raises.  Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
-    assert code in (0, 10, 11, 12, 64), (argv, code)
+    assert code in codes + (64,), (argv, code)
     if code < 64:
         doc = json.loads(out.getvalue())  # one document, nothing after it
-        assert STATUS_EXIT_CODES[doc["payload"]["status"]] == code
         assert out.getvalue() == Report.from_json(out.getvalue()).to_json()
+        if argv[0] == "decide":
+            assert STATUS_EXIT_CODES[doc["payload"]["status"]] == code
     else:
         assert out.getvalue() == "", argv
         assert err.getvalue().strip(), argv
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decide_args())
+def test_decide_exit_contract(argv):
+    # any --from/--to/--domain exits 0/10/11/12 with one JSON document, or
+    # 64 with nothing on stdout; never a traceback
+    _check_exit_contract(argv, (0, 10, 11, 12))
+
+
+_DELTA_LISTS = st.one_of(
+    # strictly decreasing, as scan requires
+    st.sets(st.sampled_from(["1/2", "1/4", "1/8"]), min_size=2).map(
+        lambda deltas: ",".join(sorted(deltas, key=Fraction, reverse=True))),
+    st.lists(st.sampled_from(["1/2", "1/4", "1/8"]), min_size=1,
+             max_size=3).map(",".join),
+    st.sampled_from(["", "0", "1", "3/4", "1/0", "x", "-1/4", "1/4,,1/8",
+                     "1/4,-1/8", "0.25,0.125", "inf", "1/4,inf"]))
+# (source, target, domain) of scans cheap enough to run: lp and Lebesgue
+# pairs, tents on cube:1 and cube:2, and malformed spaces and domains
+_EXPONENTS = st.sampled_from(["1/2", "1", "3/2", "2", "5/2", "3", "4", "inf"])
+_SCAN_PAIRS = st.one_of(
+    st.tuples(st.builds("lp:{}".format, _EXPONENTS),
+              st.builds("lp:{}".format, _EXPONENTS),
+              st.sampled_from([None, "seq", "cube:1"])),
+    st.tuples(st.builds("lebesgue:{}".format, _EXPONENTS),
+              st.builds("lebesgue:{}".format, _EXPONENTS),
+              st.sampled_from(["cube:1", "cube:2"])),
+    st.tuples(st.sampled_from(["holder:1/4", "holder:1/3", "holder:1/2",
+                               "holder:1"]),
+              st.sampled_from(["sup", "c0"]), st.just("cube:1")),
+    st.tuples(st.sampled_from(["holder:1/3", "holder:1/2", "holder:1"]),
+              st.sampled_from(["holder:1/5", "holder:1/8"]), st.just("cube:1")),
+    st.tuples(st.sampled_from(["holder:3/4", "holder:1"]),
+              st.sampled_from(["sup", "holder:1/2"]), st.just("cube:2")),
+    st.tuples(_space_arg("lp"), _space_arg("holder"),
+              st.one_of(_BAD_DOMAINS, st.just("cube:1"))),
+    # a packing grid refused at the first delta
+    st.just(("holder:1/2", "sup", "ball:3")))
+# each scan option: (well-formed values, malformed or refused ones)
+_SCAN_OPTIONS = (
+    ("--mc-samples", ["1", "2", "8"], ["0", "-3", "x"]),
+    ("--tolerance", ["1e-4", "1e-3"], ["0", "1", "x", "nan"]),
+    ("--seed", ["0", "7", "-1"], ["x", "1.5"]),
+    ("--csv", ["{dir}/series.csv"], ["{dir}/missing/series.csv", "{dir}"]))
+
+
+@st.composite
+def _scan_args(draw):
+    source, target, domain = draw(_SCAN_PAIRS)
+    deltas = "1/8,1/16" if domain == "ball:3" else draw(_DELTA_LISTS)
+    argv = ["scan", "--from", source, "--to", target, "--deltas", deltas]
+    if domain is not None:
+        argv += ["--domain", domain]
+    # each option left out, well-formed or (one time in five) malformed
+    for flag, good, bad in _SCAN_OPTIONS:
+        pick = draw(st.integers(0, 4))
+        if pick:
+            argv += [flag, draw(st.sampled_from(bad if pick == 4 else good))]
+    return argv
+
+
+@st.composite
+def _packing_args(draw):
+    domain = draw(st.sampled_from(["cube:1", "cube:2", "cube:3", "ball:1",
+                                   "ball:2", "ball:3", "ball:2:1/2", "space:2",
+                                   "seq", "cube:0", "torus:2", "ball:1:x", ""]))
+    # up to 1/1024, whose grids are refused outside cube:1
+    deltas = draw(st.one_of(
+        st.lists(st.sampled_from(["1/2", "1/4", "1/8", "1/64", "1/1024"]),
+                 min_size=1, max_size=3).map(",".join), _DELTA_LISTS))
+    # metric powers below 1/2 only on one axis, where their grids stay small
+    one_axis = domain.split(":")[1:2] == ["1"]
+    alpha = draw(st.sampled_from(["1", "1/2", "0", "2", "-1", "x", "1/0"] +
+                                 (["1/3", "1/4"] if one_axis else [])))
+    argv = ["packing", "--domain", domain, "--deltas", deltas, "--alpha", alpha]
+    return argv + ["--brute-force"] if draw(st.booleans()) else argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_scan_args(), _packing_args()))
+def test_scan_and_packing_exit_contract(argv):
+    # scan and packing exit 0 with one JSON document, or 64 with nothing on
+    # stdout, whatever the input; a --csv path that cannot be written is a
+    # usage error like any other
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.format(dir=tmp) for arg in argv]
+        code = _check_exit_contract(argv, (0,))
+        if code == 0 and "--csv" in argv:
+            csv = Path(argv[argv.index("--csv") + 1])
+            assert csv.read_text().startswith("delta,n,ratio,mode\n")
 
 
 def test_cli_runs_as_a_process():
@@ -293,6 +386,16 @@ class TestScanCommand:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == "delta,n,ratio,mode"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("where", ["missing/series.csv", "."])
+    def test_unwritable_csv_is_a_usage_error(self, capsys, tmp_path, where):
+        code = main(["scan", "--from", "lp:3", "--to", "lp:4",
+                     "--deltas", "1/4,1/16", "--csv", str(tmp_path / where)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --csv ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_hoelder_target_scan_meets_its_prediction(self, capsys):
         # the target side is measured in its own Hoelder norm, so the ratio
