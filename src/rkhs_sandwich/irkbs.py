@@ -9,6 +9,7 @@ k1 + k2 whenever both kernels are integrable against the measure class.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,19 @@ class SeriesError(ValueError):
 
 class OutOfDomainError(SeriesError):
     pass
+
+
+def _float_range_refused(fn):
+    """fn with float overflow, and division by a float that underflowed to
+    0, raised as SeriesError: the estimates and bounds are floats, so a
+    coefficient or radius far outside the float range has none."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise SeriesError(f"the series leaves the float range ({exc})") from None
+    return checked
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,7 @@ class RadiusEstimate:
         return self.value is None
 
 
+@_float_range_refused
 def radius_lower_bound(coeffs) -> RadiusEstimate:
     """Convergence-radius estimate from a truncation.
 
@@ -147,6 +162,7 @@ def _is_cosine_pattern(coeffs) -> bool:
     return True
 
 
+@_float_range_refused
 def check_applicability(spec: SeriesSpec,
                         measure_class: str = "all-finite-signed") -> DecompositionReport:
     """Can the integral space of Psi = sigma(<.,.>) be placed under an RKHS?

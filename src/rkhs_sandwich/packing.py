@@ -111,7 +111,9 @@ def _lattice_greedy(pts: np.ndarray, min_sq: int) -> np.ndarray:
     index[tuple((pts - origin).T)] = np.arange(len(pts))
     alive = index >= 0
     flat = alive.reshape(-1)  # a view: clearing the grid clears flat
-    w = math.isqrt(max(0, min_sq - 1))  # a conflict needs |o|^2 < min_sq
+    # a conflict needs |o|^2 < min_sq, and two candidates differ by less
+    # than the grid's widest extent on every axis
+    w = min(math.isqrt(max(0, min_sq - 1)), max(cells) - 1)
     axis = np.arange(-w, w + 1) ** 2
     sq = sum(np.ix_(*([axis] * pts.shape[1])))
     keep = sq >= min_sq  # the complement of the stencil, centered at w

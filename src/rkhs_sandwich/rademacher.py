@@ -190,7 +190,13 @@ def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
     sqrt(n) delta/3; scan still evaluates every pattern it draws.  At each
     delta one SignedSum call gives the values of all the drawn patterns on
     the cloud, evaluating each member once, and one hoelder_norm pass
-    measures them (rademacher_norm).
+    measures them (rademacher_norm).  The tent sequence side, sup or
+    hoelder(beta) (recipe_functionals; any other functional is refused with
+    ScanError), measures each tent on its own center c and witness w.  On
+    those two points, with values a and b, the functional's call gives
+    max(|a|, |b|), and for hoelder also |a - b| / |c - w|^beta, so
+    _two_point_norms forms that closed form for all the tents at once with
+    the same floating-point expressions, bit for bit.
 
     The fitted slope estimates recipe.predicted_exponent; the log axis is n
     for sequence-space recipes and 1/delta otherwise.  One sign stream,
@@ -276,6 +282,12 @@ def _tents_at(recipe, dl, rad_fun, seq_fun, domain, rng,
               config) -> Tuple[int, float, float]:
     if domain is None:
         raise ScanError("tent-bump scans need an explicit domain")
+    sequence_ok = isinstance(seq_fun, NormFunctional) and (
+        seq_fun.kind == "sup"
+        or seq_fun.kind == "hoelder" and 0 < seq_fun.holder_exponent <= 1)
+    if not sequence_ok:
+        raise ScanError("a tent scan takes sup or hoelder(beta), 0 < beta <= 1, "
+                        "as its sequence side")
     alpha = recipe.params["alpha"].as_fraction()
     # tents of height dl/3 on centers packed dl apart in d^alpha
     fam = tent_family(domain, dl / 3, alpha)
@@ -285,13 +297,31 @@ def _tents_at(recipe, dl, rad_fun, seq_fun, domain, rng,
             f"packing at delta={dl} yields fewer than 2 centers")
     cloud = _tent_cloud(fam.centers, float(dl) / 3, float(alpha), domain)
     members = fam.members
-    # each member's sequence-side norm on its own center/witness pair
+    # each member's sequence-side norm on its own center/witness pair, all
+    # members in one closed-form pass
     seq = _root_sum_of_squares(
-        replace(seq_fun, points=cloud[[i, n + i]])(m, domain, config)
-        for i, m in enumerate(members))
+        _two_point_norms(seq_fun, members[0], cloud[:n], cloud[n:]).tolist())
     rad = rademacher_norm(members, replace(rad_fun, points=cloud), domain,
                           "monte-carlo", _sign_config(n, config), seed=rng).value
     return n, rad, seq
+
+
+def _two_point_norms(fun: NormFunctional, tent, centers: np.ndarray,
+                     witness: np.ndarray) -> np.ndarray:
+    """Each tent's fun norm (sup or hoelder) on the two-point cloud of its
+    center and witness, the tents being those of tent's delta and alpha on
+    centers: the closed form of the scan docstring.  hoelder_norm's
+    nearest-neighbour seed (k = 2) holds the one pair, whose quotient
+    _max_quotients computes with these expressions, 0 for coincident
+    points."""
+    a = tent._values(centers, centers)
+    b = tent._values(witness, centers)
+    norm = np.maximum(np.abs(a), np.abs(b))
+    if fun.kind == "hoelder":
+        dist = np.linalg.norm(centers - witness, axis=1)
+        dist[dist == 0.0] = np.inf
+        norm = np.maximum(norm, np.abs(a - b) / dist ** fun.holder_exponent)
+    return norm
 
 
 def _smooth_at(recipe, dl, rad_fun, seq_fun, domain, rng,

@@ -94,8 +94,29 @@ class TestRadiusLowerBound:
         with pytest.raises(SeriesError):
             radius_lower_bound((Fraction(1),))
 
+    @pytest.mark.parametrize("coeffs", [
+        # a root that underflows to 0.0, then 1/0
+        (Fraction(0), Fraction(1, 10 ** 400)),
+        # a geometric ratio that underflows to 0.0, then 1/0
+        (Fraction(1), Fraction(1, 10 ** 200), Fraction(1, 10 ** 400),
+         Fraction(1, 10 ** 600)),
+        # a coefficient beyond the largest float
+        (Fraction(1), Fraction(10 ** 400)),
+    ])
+    def test_float_range_is_refused(self, coeffs):
+        with pytest.raises(SeriesError, match="leaves the float range"):
+            radius_lower_bound(coeffs)
+        with pytest.raises(SeriesError, match="leaves the float range"):
+            check_applicability(SeriesSpec(coeffs, None))
+
 
 class TestApplicability:
+    def test_radius_beyond_the_float_range_is_refused(self):
+        # rho^2 and the diagonal bound overflow a float
+        spec = SeriesSpec((Fraction(0), Fraction(1)), Fraction(10 ** 400))
+        with pytest.raises(SeriesError, match="leaves the float range"):
+            check_applicability(spec)
+
     def test_bounded_domain_cosine(self):
         report = check_applicability(cosine_series(12))
         assert report.psi_bounded_on_domain == "yes"

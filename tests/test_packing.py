@@ -4,6 +4,7 @@ brute-force oracle and the exponent fit."""
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -169,16 +170,53 @@ def _candidate_loop(pts, min_sq):
     (cube(2), Fraction(1, 8), Fraction(1, 2)),
     (cube(3), Fraction(1, 3), Fraction(2, 3)),
     (ball(2), Fraction(1, 4), Fraction(3, 4)),
+    # larger grids: a 65^3 ball, 16,383 points on a line, a 127^2 square
+    (ball(3), Fraction(1, 8), Fraction(1)),
+    (cube(1), Fraction(1, 8), Fraction(1, 4)),
+    (cube(2), Fraction(1, 32), Fraction(1)),
 ])
 def test_stencil_greedy_matches_candidate_loop(dom, delta, alpha):
     pts, den = packing._candidates_for(dom, delta, alpha, None)
     min_sq = packing._min_sq_lattice(delta, alpha, den)
+    _check_against_candidate_loop(pts, min_sq)
+
+
+def _check_against_candidate_loop(pts, min_sq):
+    """_lattice_greedy chooses the candidate loop's centers, in its order;
+    returns them."""
     want = _candidate_loop(pts, min_sq)
     assert np.array_equal(packing._lattice_greedy(pts, min_sq), want)
     # the indices refer to the caller's order of the candidates
     perm = np.random.default_rng(0).permutation(len(pts))
     got = packing._lattice_greedy(pts[perm], min_sq)
     assert np.array_equal(perm[got], want)
+    return pts[want]
+
+
+@pytest.mark.parametrize("shape,min_sq", [
+    ((13,), 10), ((6, 6), 17), ((6, 14), 50), ((6, 6, 6), 50), ((15, 15, 15), 10),
+])
+def test_stencil_greedy_with_centers_on_every_face(shape, min_sq):
+    # w = 3, 4 or 7, and every face of the box holds a center, whose
+    # stencil is cut off by that face
+    pts = np.argwhere(np.ones(shape, dtype=bool)) - 3
+    centers = _check_against_candidate_loop(pts, min_sq)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    assert math.isqrt(min_sq - 1) >= 3
+    assert ((centers == lo).any(axis=0) & (centers == hi).any(axis=0)).all()
+
+
+@pytest.mark.parametrize("shape", [(40,), (9, 11), (7, 9, 8), (3, 12, 5),
+                                   (20, 2), (6, 2, 3)])
+@pytest.mark.parametrize("min_sq", [1, 2, 10, 50, 400])
+@pytest.mark.parametrize("density", [0.5, 0.1])
+def test_stencil_greedy_on_sparse_sets(shape, min_sq, density):
+    # holes in the candidate set, and faces of the bounding grid that move
+    # with it; w runs from 0 to 19, which exceeds the box and is capped, and
+    # axes of 2 or 3 cells are narrower than most stencils
+    rng = np.random.default_rng(len(shape) * 1000 + min_sq)
+    pts = np.argwhere(np.ones(shape, dtype=bool)) - 3
+    _check_against_candidate_loop(pts[rng.random(len(pts)) < density], min_sq)
 
 
 class TestCandidateGrid:
@@ -202,6 +240,39 @@ class TestCandidateGrid:
         assert 2048 ** 2 == packing._MAX_GRID_CELLS
         with pytest.raises(PackingError, match=r"2049\^2 cells"):
             greedy_packing(cube(2), Fraction(1, 2), den=2050)
+
+    def test_refusal_bound_is_unchanged(self):
+        # the 262,143-cell grid of a holder:1/4 tent scan on cube:1 at delta
+        # 1/16 is admitted; ball:3 at 1/64 is refused before anything of its
+        # grid is allocated
+        tracemalloc.start()
+        try:
+            pts, _ = packing._candidates_for(cube(1), Fraction(1, 16),
+                                             Fraction(1, 4), None)
+            admitted, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            with pytest.raises(PackingError, match=r"513\^3 cells"):
+                greedy_packing(ball(3), Fraction(1, 64))
+            refused = tracemalloc.get_traced_memory()[1] - admitted
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (262_143, 1)
+        # the candidates: one int64 per cell
+        assert admitted < 3 << 20
+        assert refused < 1 << 20
+
+    @pytest.mark.parametrize("dom", [cube(3), ball(3, Fraction(4))])
+    def test_stencil_is_capped_at_the_grid(self, dom):
+        # at delta 100 the stencil half-width is 199 lattice steps on a grid
+        # of 1 or 17 cells per axis; a 399^3 stencil took 545 MB
+        tracemalloc.start()
+        try:
+            count = greedy_packing(dom, 100).count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 1
+        assert peak < 4 << 20
 
 
 class TestCenters:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,10 +14,11 @@ from rkhs_sandwich import (NormFunctional, QuadratureConfig, SignedSum, TentMemb
                            decide, decide_bounded_target, hoelder_norm, holder,
                            indicator_partition, lebesgue_lp, rademacher_norm, scan,
                            seq_l2_norm, sequence_lp, slobodeckij, smooth_family,
-                           tent_family, whole_space)
+                           tent_family, whole_space, xr)
 from rkhs_sandwich import norms, rademacher
 from rkhs_sandwich.rademacher import (DomainTooSmallError, ModeError,
-                                      RademacherEstimate, ScanError, _tent_cloud)
+                                      RademacherEstimate, ScanError, _tent_cloud,
+                                      recipe_functionals)
 
 FAST = QuadratureConfig(resolution=16, tolerance=1e-4)
 
@@ -201,6 +203,66 @@ class TestTentCloud:
         assert np.allclose(np.abs(step).sum(axis=1), r, rtol=1e-9, atol=0)
 
 
+class TestTentSequenceSide:
+    """Each tent's sequence-side norm on its own center and witness, in one
+    closed-form pass, against the per-member functional calls."""
+
+    FUNCTIONALS = [NormFunctional("sup")] + [
+        NormFunctional("hoelder", holder_exponent=b) for b in (1 / 4, 1 / 3, 1 / 2, 1.0)]
+
+    @pytest.mark.parametrize("dom,delta,alpha,off_axis", [
+        (cube(1), Fraction(1, 8), Fraction(1, 3), 0),
+        (cube(2), Fraction(1, 4), Fraction(1, 2), 0),
+        (cube(3), Fraction(1, 8), Fraction(1), 0),
+        (ball(2), Fraction(1, 8), Fraction(1), 1),
+        (ball(2), Fraction(1, 2), Fraction(1, 3), 1),
+        (ball(3), Fraction(1, 4), Fraction(1), 0),
+    ])
+    def test_matches_the_per_member_calls(self, monkeypatch, dom, delta, alpha,
+                                          off_axis):
+        fam = tent_family(dom, delta / 3, alpha)
+        n, members = fam.n, fam.members
+        cloud = _tent_cloud(fam.centers, float(delta) / 3, float(alpha), dom)
+        # witnesses that step along another axis than x0, and (in the balls)
+        # witnesses that step along -x0
+        assert ((cloud[n:] - cloud[:n])[:, 0] == 0.0).sum() == off_axis
+        recipe = SimpleNamespace(params={"alpha": xr(alpha)})
+        # the averaged side is tested elsewhere; here it only has to return
+        monkeypatch.setattr(rademacher, "rademacher_norm",
+                            lambda *args, **kwargs: RademacherEstimate(1.0, None, "", 0))
+        for fun in self.FUNCTIONALS:
+            want = [replace(fun, points=cloud[[i, n + i]])(m, dom, FAST)
+                    for i, m in enumerate(members)]
+            got = rademacher._two_point_norms(fun, members[0], cloud[:n], cloud[n:])
+            assert got.tolist() == want, fun
+            assert rademacher._tents_at(recipe, delta, fun, fun, dom, None, FAST) == \
+                (n, 1.0, rademacher._root_sum_of_squares(want)), fun
+
+    def test_coincident_points_give_the_sup(self):
+        # a witness on its center: no quotient, as in hoelder_norm
+        tent = TentMember(np.zeros(2), 0.25, 0.5)
+        centers = np.array([[0.0, 0.0], [0.5, 0.5]])
+        for fun in self.FUNCTIONALS:
+            assert rademacher._two_point_norms(fun, tent, centers, centers).tolist() == \
+                [replace(fun, points=np.vstack([c, c]))(TentMember(c, 0.25, 0.5),
+                                                         cube(2), FAST)
+                 for c in centers]
+
+    @pytest.mark.parametrize("seq_fun", [
+        NormFunctional("lp-of-derivative", alpha=(0,), p=2.0),
+        NormFunctional("slobodeckij", theta=0.5, p=2.0),
+        NormFunctional("hoelder", holder_exponent=0.0),
+        NormFunctional("hoelder", holder_exponent=1.5),
+        _Recording(),
+    ])
+    def test_other_sequence_functionals_are_refused(self, seq_fun):
+        dom = cube(1)
+        recipe = decide_bounded_target(holder(Fraction(1, 4), dom), "sup").obstruction
+        with pytest.raises(ScanError, match="sequence side"):
+            scan(recipe, NormFunctional("hoelder", holder_exponent=0.25), seq_fun,
+                 [Fraction(1, 4), Fraction(1, 8)], domain=dom, seed=0, config=FAST)
+
+
 class TestSeqL2Norm:
     def test_indicator_partition_formula(self):
         # m cells of volume n_grid^-d in Lq: sqrt(m) vol^(1/q) = n_grid^(d(1/2-1/q))
@@ -318,6 +380,27 @@ class TestScan:
                                                   mc_samples=8))
             assert series.points == expected, alpha
             assert series.log_axis == "1/delta"
+
+    def test_hoelder_target_tent_scan_points(self):
+        # recorded points of two scans whose sequence side is a Hoelder norm
+        # of exponent beta, as recipe_functionals measures them
+        deltas = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
+        cases = [
+            (Fraction(1, 2), Fraction(1, 4), cube(1),
+             ((0.25, 16, 1.1547005383792508), (0.125, 64, 1.6329931618554456),
+              (0.0625, 256, 2.3094010767584883))),
+            (Fraction(1), Fraction(1, 2), cube(2),
+             ((0.25, 16, 1.154700538379251), (0.125, 64, 1.6329931618554507),
+              (0.0625, 256, 2.309401076758501))),
+        ]
+        for alpha, beta, dom, expected in cases:
+            recipe = decide(holder(alpha, dom), holder(beta, dom)).obstruction
+            E, F = recipe_functionals(recipe)
+            assert F == NormFunctional("hoelder", holder_exponent=float(beta))
+            series = scan(recipe, E, F, deltas, domain=dom, seed=5,
+                          config=QuadratureConfig(resolution=16, tolerance=1e-4,
+                                                  mc_samples=8))
+            assert series.points == expected, (alpha, beta)
 
     def test_tent_hoelder_norm_is_sign_independent(self):
         # on the 3-D tent clouds every sign pattern's Hoelder value is the

@@ -340,6 +340,53 @@ def test_scan_and_packing_exit_contract(argv):
             assert csv.read_text().startswith("delta,n,ratio,mode\n")
 
 
+_HUGE = "1" + "0" * 400  # 10^400 overflows a float, and 1/10^400 underflows to 0.0
+_NUMBERS = st.sampled_from(["0", "1", "-1", "1/2", "3/2", "2", "5/2", "3", "4",
+                            "-1/6", "1/24", "inf", _HUGE, "-" + _HUGE,
+                            "1/" + _HUGE, f"{_HUGE}/3", "7/" + _HUGE])
+# empty, malformed, zero-denominator and non-finite entries
+_BAD_NUMBERS = st.sampled_from(["", " ", "x", "1/0", "1e3", "nan", "-inf", "1//2"])
+_NUMBER_LISTS = st.one_of(
+    st.lists(_NUMBERS, min_size=1, max_size=5).map(",".join),
+    st.lists(st.one_of(_NUMBERS, _BAD_NUMBERS), min_size=1, max_size=5).map(",".join),
+    st.sampled_from(["", ",", "1,,2", "1,"]))
+_TABLE_DOMAINS = st.sampled_from([None, "cube:1", "cube:2", "cube:3", "ball:2",
+                                  "ball:2:1/2", "ball:3:" + _HUGE, "ball:2:1/" + _HUGE,
+                                  "space:2", "seq", "cube:0", "cube:-1", "cube:x",
+                                  "torus:2", "ball:2:0", "ball:2:-1", "ball:2:inf",
+                                  "", "cube"])
+
+
+@st.composite
+def _table_args(draw):
+    argv = ["table", "--kind", draw(st.sampled_from(["lp", "lebesgue",
+                                                     "slobodeckij"])),
+            "--values", draw(_NUMBER_LISTS)]
+    domain = draw(_TABLE_DOMAINS)
+    return argv if domain is None else argv + ["--domain", domain]
+
+
+@st.composite
+def _irkbs_args(draw):
+    series = draw(st.one_of(st.just("cos"), _NUMBER_LISTS,
+                            st.lists(_NUMBERS, min_size=2, max_size=12).map(",".join)))
+    argv = ["irkbs", "--series", series]
+    radius = draw(st.sampled_from([None, "0", "-1", "inf", "1", "1/2", "2",
+                                   "3/2", _HUGE, "1/" + _HUGE, "x", "", "1/0"]))
+    if radius is not None:
+        argv += ["--domain-radius", radius]
+    measure = draw(st.sampled_from([None, "all", "restricted", "none"]))
+    return argv if measure is None else argv + ["--measure-class", measure]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_table_args(), _irkbs_args()))
+def test_table_and_irkbs_exit_contract(argv):
+    # table and irkbs exit 0 with one JSON document, or 64 with nothing on
+    # stdout, whatever the values, series, domain or radius
+    _check_exit_contract(argv, (0,))
+
+
 def test_cli_runs_as_a_process():
     # the module entry point maps the verdict to the process exit code
     src = str(Path(rkhs_sandwich.__file__).resolve().parents[1])
