@@ -12,12 +12,11 @@ from .spaces import (CoherentSet, DomainSpec, SpaceSpec, ball, besov,
 from .embeddings import (RULES, EmbedVerdict, chain_holds, embeds,
                          rewrite_identifications)
 from .decider import (BORDERLINE, FEASIBLE, INFEASIBLE, STATUS_EXIT_CODES,
-                      UNDETERMINED, UInterval, Verdict, WitnessChain,
-                      admissible_u_interval, decide, decide_bounded_target)
+                      UNDETERMINED, UInterval, Verdict, WitnessChain, decide,
+                      decide_bounded_target)
 from .packing import (PackingResult, brute_force_packing, exponent_fit,
                       greedy_packing)
-from .bumps import (BumpFamily, SignedSum, SmoothBump, TentMember, eval_bump,
-                    eval_bump_derivative, indicator_partition, smooth_family,
+from .bumps import (BumpFamily, SignedSum, SmoothBump, TentMember, smooth_family,
                     tent_family)
 from .norms import (AccuracyError, DivergenceError, NormFunctional,
                     QuadratureConfig, hoelder_norm, lp_norm, slobodeckij_norm,

@@ -145,19 +145,6 @@ def reference_bump(dimension: int) -> SmoothBump:
     return SmoothBump(dimension)
 
 
-def eval_bump(x, dimension: Optional[int] = None) -> float:
-    """The reference bump at a single point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = dimension or len(x)
-    return float(reference_bump(d)(x.reshape(1, d))[0])
-
-
-def eval_bump_derivative(alpha: Sequence[int], x) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = len(alpha)
-    return float(reference_bump(d).derivative_values(alpha, x.reshape(1, d))[0])
-
-
 # -- function objects -----------------------------------------------------
 
 class SmoothBumpMember:
@@ -476,13 +463,3 @@ def tent_family(domain: DomainSpec, delta, alpha,
     return BumpFamily("hoelder-tent", float(delta), centers, domain,
                       tent_alpha=float(alpha))
 
-
-def indicator_partition(dimension: int, cells_per_axis: int,
-                        domain: Optional[DomainSpec] = None) -> List[IndicatorMember]:
-    """Partition of the unit cube into cells_per_axis^d congruent cells."""
-    h = 1.0 / cells_per_axis
-    members = []
-    for idx in itertools.product(range(cells_per_axis), repeat=dimension):
-        lo = np.array(idx, dtype=float) * h
-        members.append(IndicatorMember(lo, lo + h))
-    return members

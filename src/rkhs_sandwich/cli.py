@@ -54,20 +54,23 @@ def _parse_fraction(text: str) -> Fraction:
     return value.as_fraction()
 
 
+# domain kind -> the field counts it takes after the kind
+_DOMAIN_FIELDS = {"seq": (0,), "cube": (1,), "space": (1,), "ball": (1, 2)}
+
+
 def parse_domain(text: str) -> DomainSpec:
-    parts = text.split(":")
-    kind = parts[0]
+    kind, *fields = text.split(":")
+    if len(fields) not in _DOMAIN_FIELDS.get(kind, ()):
+        raise ValueError(f"bad domain {text!r}; use cube:d, ball:d[:r], space:d, seq")
     if kind == "seq":
         from .spaces import SEQUENCE_INDEX
         return SEQUENCE_INDEX
-    if kind not in ("cube", "ball", "space") or len(parts) < 2:
-        raise ValueError(f"bad domain {text!r}; use cube:d, ball:d[:r], space:d, seq")
-    d = int(parts[1])
+    d = int(fields[0])
     if kind == "cube":
         return cube(d)
     if kind == "space":
         return whole_space(d)
-    radius = _parse_fraction(parts[2]) if len(parts) > 2 else Fraction(1)
+    radius = _parse_fraction(fields[1]) if len(fields) > 1 else Fraction(1)
     return ball(d, radius)
 
 

@@ -416,12 +416,3 @@ def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
     return Verdict(UNDETERMINED, "unmatched",
                    reason=f"no bounded-target rule for family {E.family}")
 
-
-def admissible_u_interval(E: SpaceSpec, F: SpaceSpec) -> UInterval:
-    """The exact set of u for which E -> W^u_2 -> F is a valid witness chain."""
-    verdict = decide(E, F)
-    if verdict.status != FEASIBLE or verdict.witness is None or \
-            verdict.witness.u_interval is None:
-        raise DecisionError("admissible u-interval exists only for Feasible "
-                            "smoothness-scale pairs")
-    return verdict.witness.u_interval

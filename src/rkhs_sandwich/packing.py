@@ -2,14 +2,16 @@
 
 Candidate points live on an integer lattice (coordinates are integer
 multiples of a common denominator), so the pairwise >= delta constraint in
-the power metric d^alpha is an exact integer comparison: the greedy
-elimination clears a ball stencil of integer offsets, computed once, from
-a boolean grid of the candidates.
+the power metric d^alpha is an exact integer comparison.  The candidates of
+a cube or ball are one boolean grid, one byte per cell, whose alive cells
+are the lattice points inside the domain; a grid of more than 2^22 cells is
+refused before it is allocated.  The greedy clears a ball stencil of
+integer offsets, computed once, from that grid, and the brute-force oracle
+reads its alive cells.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,21 +73,6 @@ def _min_sq_lattice(delta: Fraction, alpha: Fraction, den: int) -> int:
     return i
 
 
-def _cube_candidates(d: int, den: int) -> np.ndarray:
-    # strictly inside the open cube, in lexicographic order
-    return np.argwhere(np.ones((den - 1,) * d, dtype=bool)) + 1
-
-
-def _ball_candidates(d: int, den: int, radius: Fraction) -> np.ndarray:
-    lim = math.ceil(float(radius) * den)
-    sq = functools.reduce(np.add.outer,
-                          [np.arange(-lim, lim + 1, dtype=np.int64) ** 2] * d)
-    # keep the closed ball |k| <= p den / q for radius p/q: q^2 |k|^2 <=
-    # p^2 den^2, and for the integer |k|^2 that is |k|^2 <= p^2 den^2 // q^2
-    r = Fraction(radius)
-    return np.argwhere(sq <= (r.numerator * den) ** 2 // r.denominator ** 2) - lim
-
-
 # the candidate lattice spacing is the Euclidean packing radius over this
 _SPACING_DIVISOR = 4
 
@@ -95,27 +82,23 @@ def _grid_denominator(delta: Fraction, alpha: Fraction) -> int:
     return max(2, math.ceil(_SPACING_DIVISOR / r))
 
 
-def _lattice_greedy(pts: np.ndarray, min_sq: int) -> np.ndarray:
-    """Greedy insertion in lexicographic order; returns indices of centers.
+def _lattice_greedy(alive: np.ndarray, min_sq: int) -> np.ndarray:
+    """Greedy insertion in lexicographic order; returns the flat (C order)
+    indices of the centers on the grid alive, and clears alive.
 
-    The candidates are laid on their dense bounding grid, whose C order is
-    the lexicographic order of (x0, x1, ...).  A chosen center removes every
-    cell within squared distance < min_sq at once, by subtracting the
-    precomputed ball stencil {o : |o|^2 < min_sq} from the grid around it,
-    so the loop runs once per chosen center: it finds the next cell still
-    alive, takes it and clears its stencil.
+    The grid's C order is the lexicographic order of (x0, x1, ...).  A
+    chosen center removes every cell within squared distance < min_sq at
+    once, by subtracting the precomputed ball stencil {o : |o|^2 < min_sq}
+    from the grid around it, so the loop runs once per chosen center: it
+    finds the next cell still alive, takes it and clears its stencil.
     """
-    origin = pts.min(axis=0)
-    cells = tuple(pts.max(axis=0) - origin + 1)
-    index = np.full(cells, -1, dtype=np.int64)
-    index[tuple((pts - origin).T)] = np.arange(len(pts))
-    alive = index >= 0
+    cells = alive.shape
     flat = alive.reshape(-1)  # a view: clearing the grid clears flat
-    # a conflict needs |o|^2 < min_sq, and two candidates differ by less
-    # than the grid's widest extent on every axis
+    # a conflict needs |o|^2 < min_sq, and two cells differ by less than the
+    # grid's widest extent on every axis
     w = min(math.isqrt(max(0, min_sq - 1)), max(cells) - 1)
     axis = np.arange(-w, w + 1) ** 2
-    sq = sum(np.ix_(*([axis] * pts.shape[1])))
+    sq = sum(np.ix_(*([axis] * alive.ndim)))
     keep = sq >= min_sq  # the complement of the stencil, centered at w
     chosen: List[int] = []
     cur = 0
@@ -123,10 +106,9 @@ def _lattice_greedy(pts: np.ndarray, min_sq: int) -> np.ndarray:
         cur += int(np.argmax(flat[cur:]))  # first alive cell at or after cur
         if not flat[cur]:
             break
-        cell = np.unravel_index(cur, cells)
-        chosen.append(int(index[cell]))
+        chosen.append(cur)
         grid_sl, stencil_sl = [], []
-        for c, size in zip(cell, cells):
+        for c, size in zip(np.unravel_index(cur, cells), cells):
             lo, hi = max(c - w, 0), min(c + w + 1, size)
             grid_sl.append(slice(lo, hi))
             stencil_sl.append(slice(lo - c + w, hi - c + w))
@@ -138,25 +120,37 @@ def _lattice_greedy(pts: np.ndarray, min_sq: int) -> np.ndarray:
 _MAX_GRID_CELLS = 1 << 22
 
 
-def _candidates_for(domain: DomainSpec, delta: Fraction, alpha: Fraction,
-                    den: Optional[int]) -> Tuple[np.ndarray, int]:
-    """The lattice candidates inside a cube or ball, at spacing 1/den.
+def _candidate_grid(domain: DomainSpec, delta: Fraction, alpha: Fraction,
+                    den: Optional[int]) -> Tuple[np.ndarray, int, int]:
+    """The lattice points inside a cube or ball, at spacing 1/den, as the
+    boolean grid alive, the lattice coordinate origin of its cell 0 on every
+    axis, and den: cell k is the point (k + origin) / den.
 
-    Refuses with PackingError, before allocating it, a dense grid of more
-    than _MAX_GRID_CELLS cells: (den - 1)^d on a cube,
-    (2 ceil(radius den) + 1)^d on a ball."""
+    The cube's grid is its open interior, (den - 1)^d cells all alive; the
+    ball's is the box (2 ceil(radius den) + 1)^d around it, alive on the
+    closed ball.  Refuses with PackingError, before allocating it, a grid
+    of more than _MAX_GRID_CELLS cells."""
     if domain.kind not in ("unit-cube", "euclidean-ball"):
         raise PackingError(f"no candidate grid for domain kind {domain.kind!r}")
     den = den or _grid_denominator(delta, alpha)
     d = domain.dimension
     cube = domain.kind == "unit-cube"
-    side = den - 1 if cube else 2 * math.ceil(float(domain.radius) * den) + 1
+    lim = 0 if cube else math.ceil(float(domain.radius) * den)
+    side = den - 1 if cube else 2 * lim + 1
     if side ** d > _MAX_GRID_CELLS:
         raise PackingError(f"the candidate grid at delta={delta} would have "
                            f"{side}^{d} cells, more than {_MAX_GRID_CELLS}")
     if cube:
-        return _cube_candidates(d, den), den
-    return _ball_candidates(d, den, domain.radius), den
+        return np.ones((side,) * d, dtype=bool), 1, den
+    # the closed ball |k| <= p den / q for radius p/q: q^2 |k|^2 <= p^2 den^2,
+    # and for the integer |k|^2 that is |k|^2 <= p^2 den^2 // q^2; the last
+    # axis is compared against the bound less the others, so the sum of
+    # squares is never laid out cell by cell
+    r = Fraction(domain.radius)
+    sq = np.arange(-lim, lim + 1, dtype=np.int64) ** 2
+    axes = np.ix_(*[sq] * d)
+    bound = (r.numerator * den) ** 2 // r.denominator ** 2
+    return axes[-1] <= bound - sum(axes[:-1]), -lim, den
 
 
 def greedy_packing(domain: DomainSpec, delta, alpha=1,
@@ -164,11 +158,12 @@ def greedy_packing(domain: DomainSpec, delta, alpha=1,
     """Greedy maximal delta-packing of the domain in the metric d^alpha.
 
     The count is a certified lower bound for P(X, d^alpha, delta).  On a
-    cube or ball, a candidate grid of more than _MAX_GRID_CELLS = 2^22
-    cells (ball:3 at delta 1/64 would lay 513^3) is refused with
-    PackingError before it is allocated; every grid the tests and the
-    benchmark lay fits, up to tent-scan's 63^3 = 250,047 and the 262,143 of
-    a holder:1/4 scan on cube:1 at delta 1/16.
+    cube or ball the candidates are one boolean grid, one byte per cell; a
+    grid of more than _MAX_GRID_CELLS = 2^22 cells (ball:3 at delta 1/64
+    would lay 513^3) is refused with PackingError before it is allocated.
+    Every grid the tests and the benchmark lay fits, up to tent-scan's
+    63^3 = 250,047, the 262,143 of a holder:1/4 scan on cube:1 at delta 1/16
+    and the 161^3 = 4,173,281 of ball:3 at delta 1/20.
     """
     delta, alpha = _checked_scale(delta, alpha)
     if domain.kind == "finite-metric-set":
@@ -176,9 +171,10 @@ def greedy_packing(domain: DomainSpec, delta, alpha=1,
     if not domain.bounded:
         raise PackingError("packing requires a bounded or finite domain")
 
-    pts, den = _candidates_for(domain, delta, alpha, den)
+    alive, origin, den = _candidate_grid(domain, delta, alpha, den)
     min_sq = _min_sq_lattice(delta, alpha, den)
-    return PackingResult(delta, alpha, pts[_lattice_greedy(pts, min_sq)], den)
+    cells = np.unravel_index(_lattice_greedy(alive, min_sq), alive.shape)
+    return PackingResult(delta, alpha, np.stack(cells, axis=1) + origin, den)
 
 
 def _checked_scale(delta, alpha) -> Tuple[Fraction, Fraction]:
@@ -211,20 +207,22 @@ def _finite_metric_greedy(domain: DomainSpec, delta: Fraction,
 
 
 def brute_force_packing(domain: DomainSpec, delta, alpha=1) -> PackingResult:
-    """Exact maximum packing over the candidate set (<= 24 candidates)."""
+    """Exact maximum packing over the candidate set (<= 24 candidates,
+    counted on the grid before any is paired up)."""
     delta, alpha = _checked_scale(delta, alpha)
-    pts = None
-    if domain.kind == "finite-metric-set":
+    finite = domain.kind == "finite-metric-set"
+    if finite:
         n = len(domain.metric_table)
     else:
-        pts, den = _candidates_for(domain, delta, alpha, None)
-        n = len(pts)
+        alive, origin, den = _candidate_grid(domain, delta, alpha, None)
+        n = int(np.count_nonzero(alive))
     if n > 24:
         raise PackingError(f"brute-force mode limited to 24 candidates, got {n}")
-    if pts is None:
+    if finite:
         far = _far_predicate(delta, alpha)
         compat = [[far(dist) for dist in row] for row in domain.metric_table]
     else:
+        pts = np.argwhere(alive) + origin
         min_sq = _min_sq_lattice(delta, alpha, den)
         diff = pts[:, None, :] - pts[None, :, :]
         compat = ((diff * diff).sum(axis=2) >= min_sq).tolist()
@@ -248,7 +246,7 @@ def brute_force_packing(domain: DomainSpec, delta, alpha=1) -> PackingResult:
             best = sel
 
     extend([], (1 << n) - 1, 0)
-    if pts is None:
+    if finite:
         return PackingResult(delta, alpha, _indices(best), 1, exact=True)
     return PackingResult(delta, alpha, pts[np.array(best, dtype=np.int64)], den,
                          exact=True)

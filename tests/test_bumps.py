@@ -7,30 +7,36 @@ import numpy as np
 import pytest
 
 from rkhs_sandwich import (BumpFamily, SignedSum, SmoothBump, TentMember,
-                           ball, cube, eval_bump, eval_bump_derivative,
-                           indicator_partition, smooth_family, tent_family)
+                           ball, cube, smooth_family, tent_family)
 from rkhs_sandwich import greedy_packing
 from rkhs_sandwich.bumps import (IndicatorMember, SmoothBumpMember,
                                  reference_bump)
 
 
+def _indicator_partition(dimension, cells_per_axis):
+    """The unit cube cut into cells_per_axis^d congruent cells."""
+    h = 1.0 / cells_per_axis
+    return [IndicatorMember(np.array(idx) * h, np.array(idx) * h + h)
+            for idx in itertools.product(range(cells_per_axis), repeat=dimension)]
+
+
 class TestReferenceBump:
     def test_normalized_at_origin(self):
-        assert eval_bump([0.0]) == 1.0
-        assert eval_bump([0.0, 0.0]) == 1.0
+        assert reference_bump(1)(np.array([[0.0]]))[0] == 1.0
+        assert reference_bump(2)(np.array([[0.0, 0.0]]))[0] == 1.0
 
     def test_vanishes_outside(self):
-        assert eval_bump([1.0]) == 0.0
-        assert eval_bump([2.0]) == 0.0
-        assert eval_bump([0.8, 0.8]) == 0.0
+        assert reference_bump(1)(np.array([[1.0], [2.0]])).tolist() == [0.0, 0.0]
+        assert reference_bump(2)(np.array([[0.8, 0.8]]))[0] == 0.0
 
     def test_zeroth_derivative_is_the_bump(self):
-        for x in (0.0, 0.3, 0.7):
-            assert eval_bump_derivative((0,), [x]) == eval_bump([x])
+        xs = np.array([[0.0], [0.3], [0.7]])
+        bump = reference_bump(1)
+        assert np.array_equal(bump.derivative_values((0,), xs), bump(xs))
 
     def test_odd_derivative_vanishes_at_origin(self):
-        assert eval_bump_derivative((1,), [0.0]) == 0.0
-        assert eval_bump_derivative((1, 0), [0.0, 0.0]) == 0.0
+        assert reference_bump(1).derivative_values((1,), np.zeros((1, 1)))[0] == 0.0
+        assert reference_bump(2).derivative_values((1, 0), np.zeros((1, 2)))[0] == 0.0
 
     def test_every_derivative_is_nonzero_somewhere(self):
         xs = np.linspace(-0.9, 0.9, 41).reshape(-1, 1)
@@ -75,9 +81,10 @@ class TestDerivativeOracle:
             checked += 1
 
     def test_half_point_value(self):
-        exact = eval_bump_derivative((1,), [0.5])
+        bump = reference_bump(1)
+        exact = bump.derivative_values((1,), np.array([[0.5]]))[0]
         x = np.array([0.5])
-        approx = _richardson(lambda y: eval_bump([y[0]]), x, 0, 1e-4)
+        approx = _richardson(lambda y: bump(y.reshape(1, 1))[0], x, 0, 1e-4)
         assert abs(exact - approx) / abs(exact) < 1e-6
 
 
@@ -86,7 +93,7 @@ class TestMembersAndFamilies:
         m = SmoothBumpMember(1, np.array([0.5]), 0.25)
         assert m(np.array([[0.5]]))[0] == 1.0
         assert m(np.array([[0.8]]))[0] == 0.0
-        inner = eval_bump([0.4])
+        inner = reference_bump(1)(np.array([[0.4]]))[0]
         assert m(np.array([[0.6]]))[0] == pytest.approx(inner, rel=1e-12)
 
     def test_family_separation_enforced(self):
@@ -132,14 +139,14 @@ class TestMembersAndFamilies:
             fam.signed_sum([2] * fam.n)
 
     def test_indicator_partition_covers(self):
-        members = indicator_partition(2, 3)
+        members = _indicator_partition(2, 3)
         assert len(members) == 9
         pts = np.random.default_rng(0).uniform(0, 1, size=(50, 2))
         total = sum(m(pts) for m in members)
         assert np.all(total == 1.0)
 
     def test_signed_indicator_sum_has_unit_modulus(self):
-        members = indicator_partition(1, 4)
+        members = _indicator_partition(1, 4)
         h = SignedSum(members, [1, -1, -1, 1])
         pts = np.linspace(0.01, 0.99, 17).reshape(-1, 1)
         assert np.all(np.abs(h(pts)) == 1.0)
@@ -151,7 +158,7 @@ class TestScalingIdentity:
         m = SmoothBumpMember(1, np.array([0.0]), 0.5)
         dm = m.derivative((1,))
         x = np.array([[0.2]])
-        expected = eval_bump_derivative((1,), [0.4]) / 0.5
+        expected = reference_bump(1).derivative_values((1,), np.array([[0.4]]))[0] / 0.5
         assert dm(x)[0] == pytest.approx(expected, rel=1e-12)
 
 

@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rkhs_sandwich
-from rkhs_sandwich import (INF, UInterval, Verdict, admissible_u_interval, ball,
-                           besov, c_infinity, chain_holds, cube, decide,
-                           decide_bounded_target, holder, lebesgue_lp,
-                           mixed_sobolev, sequence_lp, slobodeckij,
-                           triebel_lizorkin, whole_space, xr)
+from rkhs_sandwich import (INF, UInterval, Verdict, ball, besov, c_infinity,
+                           chain_holds, cube, decide, decide_bounded_target,
+                           holder, lebesgue_lp, mixed_sobolev, sequence_lp,
+                           slobodeckij, triebel_lizorkin, whole_space, xr)
 from rkhs_sandwich.decider import (DecisionError, Inequality,
                                    ObstructionRecipe)
 from rkhs_sandwich.spaces import (BOUNDED_TARGETS, ValidationError,
@@ -140,27 +139,27 @@ class TestSmoothScalePairs:
 
 class TestUInterval:
     def test_tl_pair_closed_minus_endpoints(self):
-        iv = admissible_u_interval(triebel_lizorkin(2, 2, 2, cube(2)),
-                                   triebel_lizorkin(1, 2, 2, cube(2)))
+        iv = decide(triebel_lizorkin(2, 2, 2, cube(2)),
+                    triebel_lizorkin(1, 2, 2, cube(2))).witness.u_interval
         assert iv.contains(Fraction(3, 2))
         assert not iv.contains(1) and not iv.contains(2)
         assert iv.contains(Fraction(1999, 1000))
 
     def test_zero_target_sufficiency_interval(self):
-        iv = admissible_u_interval(slobodeckij(Fraction(3, 2), 1, cube(1)),
-                                   slobodeckij(0, 2, cube(1)))
+        iv = decide(slobodeckij(Fraction(3, 2), 1, cube(1)),
+                    slobodeckij(0, 2, cube(1))).witness.u_interval
         assert (iv.lo, iv.hi) == (0, 1)
         assert iv.lo_open and iv.hi_open
 
     def test_besov_sup_scale_interval(self):
-        iv = admissible_u_interval(besov(2, INF, INF, cube(1)),
-                                   besov(Fraction(1, 2), INF, INF, cube(1)))
+        iv = decide(besov(2, INF, INF, cube(1)),
+                    besov(Fraction(1, 2), INF, INF, cube(1))).witness.u_interval
         # (t + 1/2, s - 0): the source side costs nothing at p1 = inf
         assert (iv.lo, iv.hi) == (1, 2)
 
     def test_non_feasible_pair_rejected(self):
-        with pytest.raises(DecisionError):
-            admissible_u_interval(sequence_lp(3), sequence_lp(4))
+        v = decide(sequence_lp(3), sequence_lp(4))
+        assert v.status != "Feasible" and v.witness is None
 
     def test_midpoint_replays(self):
         E = besov(Fraction(5, 2), 3, 3, cube(2))

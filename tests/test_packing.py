@@ -127,8 +127,8 @@ def test_greedy_packing_is_separated_and_maximal(dom, delta, alpha):
         assert all(i in chosen or not all(far(i, j) for j in chosen)
                    for i in range(len(table)))
         return
-    pts, den = packing._candidates_for(dom, delta, alpha, None)
-    sq = _lattice_sq(pts, res.centers, den)
+    alive, origin, den = packing._candidate_grid(dom, delta, alpha, None)
+    sq = _lattice_sq(np.argwhere(alive) + origin, res.centers, den)
     values = np.unique(sq)
     near = np.isin(sq, values[[Fraction(int(v), den * den) ** a < thr
                                for v in values]])
@@ -176,21 +176,21 @@ def _candidate_loop(pts, min_sq):
     (cube(2), Fraction(1, 32), Fraction(1)),
 ])
 def test_stencil_greedy_matches_candidate_loop(dom, delta, alpha):
-    pts, den = packing._candidates_for(dom, delta, alpha, None)
+    alive, _, den = packing._candidate_grid(dom, delta, alpha, None)
     min_sq = packing._min_sq_lattice(delta, alpha, den)
-    _check_against_candidate_loop(pts, min_sq)
+    _check_against_candidate_loop(alive, min_sq)
 
 
-def _check_against_candidate_loop(pts, min_sq):
-    """_lattice_greedy chooses the candidate loop's centers, in its order;
-    returns them."""
-    want = _candidate_loop(pts, min_sq)
-    assert np.array_equal(packing._lattice_greedy(pts, min_sq), want)
-    # the indices refer to the caller's order of the candidates
-    perm = np.random.default_rng(0).permutation(len(pts))
-    got = packing._lattice_greedy(pts[perm], min_sq)
-    assert np.array_equal(perm[got], want)
-    return pts[want]
+def _check_against_candidate_loop(alive, min_sq):
+    """_lattice_greedy chooses the candidate loop's centers among the alive
+    cells, in its order, and clears the grid; returns the centers' cells."""
+    pts = np.argwhere(alive)
+    want = pts[_candidate_loop(pts, min_sq)]
+    grid = alive.copy()
+    got = packing._lattice_greedy(grid, min_sq)
+    assert np.array_equal(np.stack(np.unravel_index(got, alive.shape), axis=1), want)
+    assert not grid.any()
+    return want
 
 
 @pytest.mark.parametrize("shape,min_sq", [
@@ -199,9 +199,8 @@ def _check_against_candidate_loop(pts, min_sq):
 def test_stencil_greedy_with_centers_on_every_face(shape, min_sq):
     # w = 3, 4 or 7, and every face of the box holds a center, whose
     # stencil is cut off by that face
-    pts = np.argwhere(np.ones(shape, dtype=bool)) - 3
-    centers = _check_against_candidate_loop(pts, min_sq)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    centers = _check_against_candidate_loop(np.ones(shape, dtype=bool), min_sq)
+    lo, hi = 0, np.array(shape) - 1
     assert math.isqrt(min_sq - 1) >= 3
     assert ((centers == lo).any(axis=0) & (centers == hi).any(axis=0)).all()
 
@@ -211,12 +210,11 @@ def test_stencil_greedy_with_centers_on_every_face(shape, min_sq):
 @pytest.mark.parametrize("min_sq", [1, 2, 10, 50, 400])
 @pytest.mark.parametrize("density", [0.5, 0.1])
 def test_stencil_greedy_on_sparse_sets(shape, min_sq, density):
-    # holes in the candidate set, and faces of the bounding grid that move
-    # with it; w runs from 0 to 19, which exceeds the box and is capped, and
-    # axes of 2 or 3 cells are narrower than most stencils
+    # holes in the grid, and faces of it with no alive cell; w runs from 0
+    # to 19, which exceeds the box and is capped, and axes of 2 or 3 cells
+    # are narrower than most stencils
     rng = np.random.default_rng(len(shape) * 1000 + min_sq)
-    pts = np.argwhere(np.ones(shape, dtype=bool)) - 3
-    _check_against_candidate_loop(pts[rng.random(len(pts)) < density], min_sq)
+    _check_against_candidate_loop(rng.random(shape) < density, min_sq)
 
 
 class TestCandidateGrid:
@@ -229,7 +227,10 @@ class TestCandidateGrid:
         lim = math.ceil(radius * den)
         want = [list(k) for k in itertools.product(range(-lim, lim + 1), repeat=d)
                 if sum(Fraction(x, den) ** 2 for x in k) <= radius ** 2]
-        assert packing._ball_candidates(d, den, radius).tolist() == want
+        alive, origin, got_den = packing._candidate_grid(ball(d, radius), 1, 1, den)
+        assert (origin, got_den) == (-lim, den)
+        assert alive.shape == (2 * lim + 1,) * d
+        assert (np.argwhere(alive) + origin).tolist() == want
 
     def test_oversized_grid_is_refused_before_it_is_laid(self):
         # ball:3 at delta 1/64 would lay 513^3 = 135,005,697 candidates
@@ -247,8 +248,8 @@ class TestCandidateGrid:
         # grid is allocated
         tracemalloc.start()
         try:
-            pts, _ = packing._candidates_for(cube(1), Fraction(1, 16),
-                                             Fraction(1, 4), None)
+            alive, origin, _ = packing._candidate_grid(cube(1), Fraction(1, 16),
+                                                       Fraction(1, 4), None)
             admitted, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             with pytest.raises(PackingError, match=r"513\^3 cells"):
@@ -256,10 +257,26 @@ class TestCandidateGrid:
             refused = tracemalloc.get_traced_memory()[1] - admitted
         finally:
             tracemalloc.stop()
-        assert pts.shape == (262_143, 1)
-        # the candidates: one int64 per cell
-        assert admitted < 3 << 20
+        assert alive.shape == (262_143,) and alive.all() and origin == 1
+        # the candidates: one byte per cell
+        assert admitted < 300_000
         assert refused < 1 << 20
+
+    @pytest.mark.parametrize("dom,delta,bound", [
+        (cube(3), Fraction(1, 16), 2 << 20),
+        (ball(3), Fraction(1, 20), 8 << 20),
+    ])
+    def test_greedy_holds_one_byte_per_cell(self, dom, delta, bound):
+        # the grid is the only per-cell array: 63^3 cells on the cube, and
+        # 161^3 = 4,173,281 on the ball, the largest grid ball:3 admits;
+        # candidate coordinates beside an index grid took 15 MB and 146 MB
+        tracemalloc.start()
+        try:
+            greedy_packing(dom, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("dom", [cube(3), ball(3, Fraction(4))])
     def test_stencil_is_capped_at_the_grid(self, dom):

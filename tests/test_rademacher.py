@@ -12,15 +12,24 @@ import pytest
 from rkhs_sandwich import (NormFunctional, QuadratureConfig, SignedSum, TentMember,
                            ball, cube,
                            decide, decide_bounded_target, hoelder_norm, holder,
-                           indicator_partition, lebesgue_lp, rademacher_norm, scan,
+                           lebesgue_lp, rademacher_norm, scan,
                            seq_l2_norm, sequence_lp, slobodeckij, smooth_family,
                            tent_family, whole_space, xr)
 from rkhs_sandwich import norms, rademacher
+from rkhs_sandwich.bumps import IndicatorMember
 from rkhs_sandwich.rademacher import (DomainTooSmallError, ModeError,
                                       RademacherEstimate, ScanError, _tent_cloud,
                                       recipe_functionals)
 
 FAST = QuadratureConfig(resolution=16, tolerance=1e-4)
+
+
+def _indicator_partition(dimension, cells_per_axis):
+    """The unit cube cut into cells_per_axis^d congruent cells: the
+    partition whose closed form the indicator recipe scans."""
+    h = 1.0 / cells_per_axis
+    return [IndicatorMember(np.array(idx) * h, np.array(idx) * h + h)
+            for idx in itertools.product(range(cells_per_axis), repeat=dimension)]
 
 
 class _Recording:
@@ -43,7 +52,7 @@ class TestRademacherNorm:
         assert est.value == pytest.approx(fn(fam.members[0], fam.domain, FAST))
 
     def test_indicator_partition_is_one(self):
-        members = indicator_partition(2, 2)
+        members = _indicator_partition(2, 2)
         fn = NormFunctional("lp-of-derivative", alpha=(0, 0), p=3.0)
         est = rademacher_norm(members, fn, cube(2), config=FAST)
         assert est.value == pytest.approx(1.0, rel=1e-6)
@@ -56,7 +65,7 @@ class TestRademacherNorm:
         assert est.value == pytest.approx(single, rel=1e-12)
 
     def test_exhaustive_mode_cap(self):
-        members = indicator_partition(1, 21)
+        members = _indicator_partition(1, 21)
         fn = NormFunctional("lp-of-derivative", alpha=(0,), p=2.0)
         for mode, message in (("exhaustive", "n <= 20"), ("bogus", "unknown mode")):
             with pytest.raises(ModeError, match=message):
@@ -266,7 +275,7 @@ class TestTentSequenceSide:
 class TestSeqL2Norm:
     def test_indicator_partition_formula(self):
         # m cells of volume n_grid^-d in Lq: sqrt(m) vol^(1/q) = n_grid^(d(1/2-1/q))
-        members = indicator_partition(2, 2)
+        members = _indicator_partition(2, 2)
         fn = NormFunctional("lp-of-derivative", alpha=(0, 0), p=4.0)
         val = seq_l2_norm(members, fn, cube(2), config=FAST)
         assert val == pytest.approx(2.0 ** (2 * (0.5 - 0.25)), rel=1e-6)

@@ -194,7 +194,8 @@ _GOOD_DOMAINS = st.one_of(
               _GOOD_NUMBERS))
 _BAD_DOMAINS = st.one_of(st.none(), st.sampled_from(
     ["seq", "cube", "cube:0", "cube:-1", "cube:x", "torus:2", "ball:2:0",
-     "ball:1:-1", "ball:1:x", "space:1/2", ""]))
+     "ball:1:-1", "ball:1:x", "space:1/2", "", "cube:3:junk", "ball:2:1:9",
+     "space:2:1", "seq:1", "cube:2:"]))
 
 
 @st.composite
@@ -313,7 +314,9 @@ def _scan_args(draw):
 def _packing_args(draw):
     domain = draw(st.sampled_from(["cube:1", "cube:2", "cube:3", "ball:1",
                                    "ball:2", "ball:3", "ball:2:1/2", "space:2",
-                                   "seq", "cube:0", "torus:2", "ball:1:x", ""]))
+                                   "seq", "cube:0", "torus:2", "ball:1:x", "",
+                                   "cube:3:junk", "ball:2:1:9", "space:2:1",
+                                   "seq:1"]))
     # up to 1/1024, whose grids are refused outside cube:1
     deltas = draw(st.one_of(
         st.lists(st.sampled_from(["1/2", "1/4", "1/8", "1/64", "1/1024"]),
@@ -553,6 +556,16 @@ class TestParsers:
         assert parse_domain("space:1").bounded is False
         with pytest.raises(ValueError):
             parse_domain("torus:2")
+
+    @pytest.mark.parametrize("text", ["cube:3:junk", "cube:2:", "space:2:1",
+                                      "ball:2:1:9", "ball:2:1/2:", "seq:1",
+                                      "seq:"])
+    def test_surplus_domain_fields_are_refused(self, capsys, text):
+        with pytest.raises(ValueError, match="bad domain"):
+            parse_domain(text)
+        code, out = _run(capsys, ["decide", "--from", "lebesgue:4", "--to",
+                                  "lebesgue:2", "--domain", text])
+        assert (code, out) == (64, "")
 
     def test_space_needs_domain(self):
         with pytest.raises(ValueError):
