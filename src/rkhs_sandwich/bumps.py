@@ -435,31 +435,21 @@ class BumpFamily:
         return SignedSum(self.members, signs)
 
 
-def smooth_family(dimension: int, delta, n: Optional[int] = None,
-                  domain: Optional[DomainSpec] = None,
-                  centers: Optional[np.ndarray] = None) -> BumpFamily:
-    """Scaled smooth bumps with centers from a greedy 3*delta-packing of the
-    ball of radius R/2 inside the domain ball of radius R (default 1)."""
+def smooth_family(dimension: int, delta) -> BumpFamily:
+    """Scaled smooth bumps on ball(dimension), with centers from a greedy
+    3*delta-packing of the ball of radius 1/2; a family on other centers is
+    a BumpFamily built directly."""
     delta = Fraction(delta)
-    domain = domain or ball(dimension)
-    if centers is None:
-        inner = ball(dimension, Fraction(domain.radius) / 2)
-        packing = greedy_packing(inner, 3 * delta)
-        centers = packing.centers_array()
-        if n is not None:
-            if n > len(centers):
-                raise ValueError(f"packing provides only {len(centers)} centers")
-            centers = centers[:n]
-    return BumpFamily("smooth", float(delta), centers, domain)
+    centers = greedy_packing(ball(dimension, Fraction(1, 2)), 3 * delta).centers_array()
+    return BumpFamily("smooth", float(delta), centers, ball(dimension))
 
 
-def tent_family(domain: DomainSpec, delta, alpha,
-                centers: Optional[np.ndarray] = None) -> BumpFamily:
-    """Hoelder tents of height delta with centers 3*delta-separated in d^alpha."""
+def tent_family(domain: DomainSpec, delta, alpha) -> BumpFamily:
+    """Hoelder tents of height delta on domain, with centers from a greedy
+    3*delta-packing of it in d^alpha; a family on other centers is a
+    BumpFamily built directly."""
     delta, alpha = Fraction(delta), Fraction(alpha)
-    if centers is None:
-        packing = greedy_packing(domain, 3 * delta, alpha)
-        centers = packing.centers_array()
+    centers = greedy_packing(domain, 3 * delta, alpha).centers_array()
     return BumpFamily("hoelder-tent", float(delta), centers, domain,
                       tent_alpha=float(alpha))
 

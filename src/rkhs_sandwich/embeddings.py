@@ -1,9 +1,10 @@
 """Three-valued rule engine for continuous embeddings between space descriptors.
 
 The engine answers Holds / Fails / Undetermined.  Fails is only emitted for
-the two rules stated as equivalences (classical integer Sobolev pairs and the
-smoothness-increase degenerate case); everything the rule set cannot settle
-is Undetermined, never Fails.
+the integer Sobolev equivalence (R6) and for a Besov / Triebel-Lizorkin pair
+below the embedding line s - t >= d/p1 - d/p2, a necessary condition on
+every domain (embedding-line); everything else the rule set cannot settle is
+Undetermined, never Fails.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ RULES: Dict[str, str] = {
     "R9": "Lebesgue on a bounded domain: Lp into Lq for q <= p",
     "R10": "supercritical smoothness s > d/p embeds into bounded continuous "
            "functions",
+    "embedding-line": "Besov / Triebel-Lizorkin: no embedding below the line "
+                      "s - t >= d/p1 - d/p2",
     "R11": "identifications: Sobolev, Slobodeckij, and Hoelder rewrite onto "
            "the Besov / Triebel-Lizorkin scale",
     "lp-iff": "an intermediate RKHS between lp and lq exists iff p <= 2 <= q, "
@@ -166,7 +169,8 @@ def embeds(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
 
     Rule order: identity, integer-Sobolev equivalence (R6), sequence (R8),
     Lebesgue (R9), direct Hoelder inclusion (R7), bounded targets (R10), then
-    family identifications (R11) followed by the Besov/TL rules R1-R5.
+    family identifications (R11) followed by the Besov/TL rules R1-R5, and
+    Fails below the embedding line where none of them holds.
     """
     if E.domain != F.domain:
         raise DomainError("embedding endpoints must share a domain")
@@ -223,6 +227,11 @@ def embeds(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
         if verdict.holds and (src is not E or dst is not F):
             tag = verdict.rule if verdict.rule.startswith("R11") else f"R11+{verdict.rule}"
             return _holds(tag)
+        # no rule of _smooth_pair holds below the line, so only an open
+        # verdict needs the check
+        d = _dim(E)
+        if not verdict.holds and src.s - dst.s < d / src.p - d / dst.p:
+            return _fails("embedding-line")
         return verdict
 
     return _open(f"no rule covers the pair ({fam_e} -> {fam_f})")

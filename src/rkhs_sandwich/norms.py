@@ -2,7 +2,8 @@
 
 Three numerical strategies, chosen per norm:
   * Lp norms of derivatives: adaptive midpoint tensor quadrature over the
-    support boxes, doubling the resolution per level.
+    support boxes, from LP_RESOLUTION points per axis, doubling per level up
+    to a per-axis cap for the dimension.
   * Slobodeckij seminorms: Gauss rules in the difference z = y - x, with
     Gauss-Jacobi in |z| absorbing the diagonal singularity, over a fixed
     sequence of node counts.
@@ -51,23 +52,19 @@ class DivergenceError(NormError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Settings of the lab's quadratures; each reads only some fields.
+    """Settings of the lab: the quadratures' tolerance and the sign averages'
+    sample count.
 
-    lp_norm reads resolution, tolerance and max_resolution (its per-axis cap
-    is also 16384/2048/256/64 in d = 1/2/3/higher).  slobodeckij_seminorm
-    reads only tolerance: its rules grow along a fixed node sequence up to a
-    fixed cap per dimension.  mc_samples is read by the sign averages of
-    rademacher, not by the quadratures.
+    lp_norm and slobodeckij_seminorm read tolerance; each grows its rule
+    along a fixed sequence up to a fixed cap per dimension (lp_norm's is
+    _LP_CAPS).  mc_samples is read by the sign averages of rademacher, not
+    by the quadratures.
     """
 
-    resolution: int = 64          # starting points per axis
     tolerance: float = 1e-5      # relative agreement between refinements
-    max_resolution: int = 8192   # per-axis cap before giving up
     mc_samples: int = 64         # Monte Carlo sample count for sign averages
 
     def __post_init__(self):
-        if self.resolution < 16:
-            raise ValueError("resolution must be at least 16")
         if not 0 < self.tolerance <= 1e-3:
             raise ValueError("tolerance must lie in (0, 1e-3]")
         if self.mc_samples < 1:
@@ -189,6 +186,14 @@ def _midpoint_grid(lo: np.ndarray, hi: np.ndarray, res: int) -> Tuple[np.ndarray
     return pts.reshape(-1, d), weight
 
 
+# lp_norm starts at LP_RESOLUTION points per axis and doubles them per level
+# up to its per-axis cap: LP_MAX_RESOLUTION in d = 1, then 2048, 256 and 64
+# in d = 2, 3 and higher
+LP_RESOLUTION = 64
+LP_MAX_RESOLUTION = 8192
+_LP_CAPS = {1: LP_MAX_RESOLUTION, 2: 2048, 3: 256}
+
+
 def lp_norm(fn, p: float, domain: DomainSpec,
             config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """||fn||_Lp by adaptive midpoint quadrature over the support boxes; on
@@ -207,11 +212,11 @@ def lp_norm(fn, p: float, domain: DomainSpec,
     if not boxes:
         return 0.0
     d = len(boxes[0][0])
-    cap = min(config.max_resolution, {1: 1 << 14, 2: 2048, 3: 256}.get(d, 64))
+    cap = _LP_CAPS.get(d, 64)
     r2 = float(domain.radius) ** 2 if domain.kind == "euclidean-ball" else None
 
     def levels():
-        res = config.resolution
+        res = LP_RESOLUTION
         while res <= cap:
             total = 0.0
             for lo, hi, g in boxes:

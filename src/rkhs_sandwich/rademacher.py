@@ -47,18 +47,13 @@ class RademacherEstimate:
 _CLOUD_VALUES = 1 << 20
 
 
-def _members_of(family) -> List:
-    if hasattr(family, "members"):
-        return list(family.members)
-    return list(family)
-
-
-def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
-                    mode: str = "exhaustive",
+def rademacher_norm(members: Sequence, functional: NormFunctional,
+                    domain: DomainSpec, mode: str = "exhaustive",
                     config: QuadratureConfig = DEFAULT_CONFIG,
                     seed: Union[int, np.random.Generator, None] = None
                     ) -> RademacherEstimate:
-    """E || sum_i eps_i f_i ||_F over independent uniform signs.
+    """E || sum_i eps_i f_i ||_F over the members f_i and independent
+    uniform signs.
 
     Exhaustive mode averages all 2^n patterns (n <= 20); monte-carlo mode
     draws config.mc_samples patterns from a seeded generator and reports the
@@ -72,7 +67,6 @@ def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
     each pattern the value of its own call; any other functional is called
     once per pattern, on that pattern's SignedSum.
     """
-    members = _members_of(family)
     n = len(members)
     if n == 0:
         raise ValueError("empty family")
@@ -108,11 +102,10 @@ def rademacher_norm(family, functional: NormFunctional, domain: DomainSpec,
     return RademacherEstimate(float(np.mean(vals)), stderr, mode, len(vals))
 
 
-def seq_l2_norm(family, functional: NormFunctional, domain: DomainSpec,
-                config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """(sum_i ||f_i||_F^2)^(1/2)."""
-    return _root_sum_of_squares(functional(m, domain, config)
-                                for m in _members_of(family))
+def seq_l2_norm(members: Sequence, functional: NormFunctional,
+                domain: DomainSpec, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """(sum_i ||f_i||_F^2)^(1/2) over the members f_i."""
+    return _root_sum_of_squares(functional(m, domain, config) for m in members)
 
 
 def _root_sum_of_squares(values) -> float:

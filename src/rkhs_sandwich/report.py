@@ -10,7 +10,7 @@ from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .embeddings import cite
-from .norms import QuadratureConfig
+from .norms import LP_MAX_RESOLUTION, LP_RESOLUTION, QuadratureConfig
 from .xrational import ExtRational
 
 SCHEMA = "rkhs-sandwich-report/1"
@@ -52,9 +52,9 @@ class Report:
                      for tag in rules or [] for part, statement in cite(tag)]
         quad = None
         if quadrature is not None:
-            quad = {"resolution": quadrature.resolution,
+            quad = {"resolution": LP_RESOLUTION,
                     "tolerance": quadrature.tolerance,
-                    "max_resolution": quadrature.max_resolution,
+                    "max_resolution": LP_MAX_RESOLUTION,
                     "mc_samples": quadrature.mc_samples}
         return Report(command=command, query=_plain(query), payload=_plain(payload),
                       rule_citations=citations, seed=seed, quadrature=quad)

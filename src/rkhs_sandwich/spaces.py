@@ -108,10 +108,12 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in _DOMAIN_KINDS:
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "sequence-index":
+        if self.kind in ("sequence-index", "finite-metric-set"):
             if self.dimension is not None:
-                raise DomainError("sequence-index carries no dimension")
-        elif self.kind == "finite-metric-set":
+                raise DomainError(f"{self.kind} carries no dimension")
+        elif not isinstance(self.dimension, int) or self.dimension < 1:
+            raise DomainError(f"{self.kind} requires a positive integer dimension")
+        if self.kind == "finite-metric-set":
             if self.metric_table is None:
                 raise DomainError("finite-metric-set requires a metric table")
             t = tuple(tuple(Fraction(x) for x in row) for row in self.metric_table)
@@ -135,14 +137,11 @@ class DomainSpec:
                 for mi in m:
                     if max(map(operator.sub, mi, mk)) > mi[k]:
                         raise DomainError("metric table violates the triangle inequality")
-        else:
-            if not isinstance(self.dimension, int) or self.dimension < 1:
-                raise DomainError(f"{self.kind} requires a positive integer dimension")
-            if self.kind == "euclidean-ball":
-                r = Fraction(self.radius)
-                if r <= 0:
-                    raise DomainError("ball radius must be positive")
-                object.__setattr__(self, "radius", r)
+        if self.kind == "euclidean-ball":
+            r = Fraction(self.radius)
+            if r <= 0:
+                raise DomainError("ball radius must be positive")
+            object.__setattr__(self, "radius", r)
 
     @property
     def bounded(self) -> bool:
@@ -161,10 +160,9 @@ def whole_space(d: int) -> DomainSpec:
     return DomainSpec("euclidean-space", d)
 
 
-def finite_metric(table, dimension: Optional[int] = None) -> DomainSpec:
-    """Finite metric space from a distance table; dimension, when given,
-    plays the role of the packing exponent's ambient dimension."""
-    return DomainSpec("finite-metric-set", dimension, metric_table=table)
+def finite_metric(table) -> DomainSpec:
+    """Finite metric space from a distance table."""
+    return DomainSpec("finite-metric-set", metric_table=table)
 
 
 SEQUENCE_INDEX = DomainSpec("sequence-index")

@@ -111,10 +111,6 @@ class TestMembersAndFamilies:
                 lo2, hi2 = boxes[j]
                 assert np.any(hi1 <= lo2) or np.any(hi2 <= lo1)
 
-    def test_smooth_family_center_budget(self):
-        with pytest.raises(ValueError):
-            smooth_family(1, 0.125, n=100)
-
     def test_tent_values(self):
         t = TentMember(np.array([0.5, 0.5]), 0.2, 0.5)
         assert t(np.array([[0.5, 0.5]]))[0] == pytest.approx(0.2)

@@ -109,10 +109,24 @@ class TestSmoothScalePairs:
         assert v.status == "Borderline"
 
     def test_slobodeckij_infeasible(self):
+        # on the square, s - t = 3/4 lies above the embedding line
+        # d/p1 - d/p2 = 0 and below the type deficiency d/p1 - d/2 = 1
         v = decide(slobodeckij(Fraction(3, 2), 1, cube(2)),
-                   slobodeckij(1, 2, cube(2)))
+                   slobodeckij(Fraction(3, 4), 1, cube(2)))
         assert v.status == "Infeasible"
         assert v.obstruction.construction == "smooth-scaled-bumps"
+        assert (v.obstruction.mode, v.obstruction.predicted_exponent) == \
+            ("type2", xr(1, 4))
+
+    @pytest.mark.parametrize("E,F", [
+        # s - t = 1/2 < d/p1 - d/p2 = 1: W^{3/2}_1 does not embed in W^1_2
+        (slobodeckij(Fraction(3, 2), 1, cube(2)), slobodeckij(1, 2, cube(2))),
+        # s - t = 1/4 < 1, with a zero target smoothness
+        (slobodeckij(Fraction(1, 4), 1, cube(2)), slobodeckij(0, 2, cube(2))),
+    ])
+    def test_gap_below_the_embedding_line_is_refused(self, E, F):
+        with pytest.raises(DecisionError, match=r"rule embedding-line"):
+            decide(E, F)
 
     def test_gap_below_the_embedding_line_with_no_single_ratio(self):
         # d/p1 - d/2 = d/2 - d/p2 = 1/6 <= s - t = 1/4 < d/p1 - d/p2 = 1/3:
@@ -122,8 +136,11 @@ class TestSmoothScalePairs:
                    slobodeckij(Fraction(1, 4), 3, cube(1)))
 
     def test_zero_target_suppresses_necessity(self):
-        v = decide(slobodeckij(Fraction(1, 4), 1, cube(2)),
-                   slobodeckij(0, 2, cube(2)))
+        # s - t = 1/4 lies above the embedding line d/p1 - d/p2 = 0 and
+        # below the cotype deficiency d/2 - d/p2 = 1/2; at t = 0 the
+        # obstruction is not claimed
+        v = decide(slobodeckij(Fraction(1, 4), 4, cube(2)),
+                   slobodeckij(0, 4, cube(2)))
         assert v.status == "Undetermined"
 
     def test_hilbert_space_sandwiches_itself(self):

@@ -153,11 +153,15 @@ class TestEmbedsProperties:
         if embeds(E, F).holds:
             assert embeds(E2, F).holds
 
-    @given(frac, frac, frac, pvals, pvals)
-    def test_never_fails_off_the_iff_families(self, s, t, u, p, q):
-        # Fails is reserved for the integer-Sobolev equivalence
+    @given(frac, frac, pvals, pvals)
+    def test_fails_exactly_below_the_embedding_line(self, s, t, p, q):
+        # off the integer-Sobolev equivalence, Fails is the embedding line
+        # s - t >= d/p1 - d/p2, a necessary condition on every domain
         v = embeds(besov(s, p, q, cube(3)), besov(t, q, p, cube(3)))
-        assert v.status in ("Holds", "Undetermined")
+        below = xr(s) - xr(t) < xr(3) / p - xr(3) / q
+        assert (v.status == "Fails") == below
+        if below:
+            assert v.rule == "embedding-line"
 
     def test_transitive_fragment_assembles_chains(self):
         E = besov(2, 2, 2, cube(2))

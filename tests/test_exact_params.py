@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from rkhs_sandwich import (CoherentSet, ExtRational, INF, coherent_closure,
                            cube, deficiency, holder, sequence_lp, slobodeckij,
                            triebel_lizorkin, xr)
-from rkhs_sandwich.spaces import (DomainError, IntegrabilityRangeError,
+from rkhs_sandwich.spaces import (DomainError, DomainSpec,
+                                  IntegrabilityRangeError,
                                   SmoothnessRangeError, finite_metric)
 from rkhs_sandwich.xrational import ParameterRangeError, pos_part
 
@@ -346,6 +347,12 @@ class TestValidation:
 
     def test_sequence_space_domain(self):
         assert not sequence_lp(2).domain.bounded
+
+    @pytest.mark.parametrize("kind,table", [("sequence-index", None),
+                                            ("finite-metric-set", [[0]])])
+    def test_index_and_metric_domains_carry_no_dimension(self, kind, table):
+        with pytest.raises(DomainError, match=f"{kind} carries no dimension"):
+            DomainSpec(kind, 1, metric_table=table)
 
     def test_metric_table_triangle_inequality(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """Quadrature oracles: Lp norms, Hoelder bounds, fractional seminorms."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -13,22 +14,46 @@ from rkhs_sandwich import norms
 from rkhs_sandwich import (DivergenceError, NormFunctional, QuadratureConfig,
                            ball, cube, hoelder_norm, lp_norm, slobodeckij_norm,
                            slobodeckij_seminorm, whole_space)
-from rkhs_sandwich.bumps import (SignedSum, SmoothBumpMember, TentMember,
-                                 smooth_family, tent_family)
+from rkhs_sandwich.bumps import (BumpFamily, SignedSum, SmoothBumpMember,
+                                 TentMember, smooth_family, tent_family)
 from rkhs_sandwich.norms import AccuracyError, NormError, default_point_cloud
+from rkhs_sandwich.report import Report
 
 TIGHT = QuadratureConfig(tolerance=1e-6)
 
 
 class TestConfig:
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(resolution=8)
-
     def test_tolerance_range(self):
         with pytest.raises(ValueError):
             QuadratureConfig(tolerance=1e-2)
         QuadratureConfig(tolerance=1e-3)
+
+    def test_settings_are_tolerance_and_mc_samples(self):
+        assert [f.name for f in dataclasses.fields(QuadratureConfig)] == \
+            ["tolerance", "mc_samples"]
+
+    def test_report_writes_the_lp_resolutions(self):
+        # the report's quadrature block keeps lp_norm's starting resolution
+        # and its cap in d = 1 beside the two settings
+        report = Report.build("scan", {}, {}, quadrature=QuadratureConfig())
+        assert report.quadrature == {"resolution": 64, "tolerance": 1e-5,
+                                     "max_resolution": 8192, "mc_samples": 64}
+
+    @pytest.mark.parametrize("d,alpha,p,expected", [
+        (1, (0,), 1, "0x1.34f76b67448a2p+0"),
+        (1, (0,), 2, "0x1.fbba482010d9dp-1"),
+        (1, (1,), 1, "0x1.000015555199ap+1"),
+        (1, (1,), 2, "0x1.bd5b33dc659eap+0"),
+        (2, (0, 0), 1, "0x1.44a2ffa3fe164p+0"),
+        (2, (0, 0), 2, "0x1.ddeafd118633ep-1"),
+        (2, (1, 0), 1, "0x1.34f798c9b803bp+1"),
+        (2, (1, 0), 2, "0x1.c5bf891bdbfa2p+0"),
+    ])
+    def test_lp_norm_values_are_pinned(self, d, alpha, p, expected):
+        # recorded bit for bit: any change of the starting resolution, the
+        # per-axis caps or the stopping rule shows here
+        member = SmoothBumpMember(d, np.zeros(d), 1.0).derivative(alpha)
+        assert lp_norm(member, p, ball(d)).hex() == expected
 
 
 class TestLpNorm:
@@ -44,7 +69,7 @@ class TestLpNorm:
         # L2 norm as the reference bump
         dom = ball(1, 2)
         centers = np.array([[-1.125], [-0.375], [0.375], [1.125]])
-        fam = smooth_family(1, Fraction(1, 4), domain=dom, centers=centers)
+        fam = BumpFamily("smooth", 0.25, centers, dom)
         h = fam.signed_sum([1] * fam.n)
         base = SmoothBumpMember(1, np.zeros(1), 1.0)
         assert lp_norm(h, 2, dom, TIGHT) == \
@@ -54,7 +79,7 @@ class TestLpNorm:
         # n^(1/p) delta^(d/p - 1) = 4 * (1/4)^0 = 4 on the derivative side
         dom = ball(1, 2)
         centers = np.array([[-1.125], [-0.375], [0.375], [1.125]])
-        fam = smooth_family(1, Fraction(1, 4), domain=dom, centers=centers)
+        fam = BumpFamily("smooth", 0.25, centers, dom)
         h = fam.signed_sum([1] * fam.n).derivative((1,))
         base = SmoothBumpMember(1, np.zeros(1), 1.0).derivative((1,))
         assert lp_norm(h, 1, dom, TIGHT) == \

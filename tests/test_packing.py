@@ -127,7 +127,8 @@ def test_greedy_packing_is_separated_and_maximal(dom, delta, alpha):
         assert all(i in chosen or not all(far(i, j) for j in chosen)
                    for i in range(len(table)))
         return
-    alive, origin, den = packing._candidate_grid(dom, delta, alpha, None)
+    den = packing._grid_denominator(delta, alpha)
+    alive, origin = packing._candidate_grid(dom, delta, den)
     sq = _lattice_sq(np.argwhere(alive) + origin, res.centers, den)
     values = np.unique(sq)
     near = np.isin(sq, values[[Fraction(int(v), den * den) ** a < thr
@@ -176,7 +177,8 @@ def _candidate_loop(pts, min_sq):
     (cube(2), Fraction(1, 32), Fraction(1)),
 ])
 def test_stencil_greedy_matches_candidate_loop(dom, delta, alpha):
-    alive, _, den = packing._candidate_grid(dom, delta, alpha, None)
+    den = packing._grid_denominator(delta, alpha)
+    alive, _ = packing._candidate_grid(dom, delta, den)
     min_sq = packing._min_sq_lattice(delta, alpha, den)
     _check_against_candidate_loop(alive, min_sq)
 
@@ -227,8 +229,8 @@ class TestCandidateGrid:
         lim = math.ceil(radius * den)
         want = [list(k) for k in itertools.product(range(-lim, lim + 1), repeat=d)
                 if sum(Fraction(x, den) ** 2 for x in k) <= radius ** 2]
-        alive, origin, got_den = packing._candidate_grid(ball(d, radius), 1, 1, den)
-        assert (origin, got_den) == (-lim, den)
+        alive, origin = packing._candidate_grid(ball(d, radius), 1, den)
+        assert origin == -lim
         assert alive.shape == (2 * lim + 1,) * d
         assert (np.argwhere(alive) + origin).tolist() == want
 
@@ -248,8 +250,9 @@ class TestCandidateGrid:
         # grid is allocated
         tracemalloc.start()
         try:
-            alive, origin, _ = packing._candidate_grid(cube(1), Fraction(1, 16),
-                                                       Fraction(1, 4), None)
+            alive, origin = packing._candidate_grid(
+                cube(1), Fraction(1, 16),
+                packing._grid_denominator(Fraction(1, 16), Fraction(1, 4)))
             admitted, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             with pytest.raises(PackingError, match=r"513\^3 cells"):

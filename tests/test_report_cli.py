@@ -67,6 +67,8 @@ def _rule_queries():
         (embeds(slobodeckij(2, 2, c1), sup_space(c1)), "R10"),
         (embeds(slobodeckij(1, 2, c1), sobolev(1, 2, c1)), "R11"),
         (embeds(sobolev(2, 2, c1), slobodeckij(1, 2, c1)), "R11+R1"),
+        (embeds(slobodeckij(Fraction(3, 2), 1, c2), slobodeckij(1, 2, c2)),
+         "embedding-line"),
         (decide(slobodeckij(1, 2, c1), slobodeckij(1, 2, c1)), "identity"),
         (decide(sequence_lp(1), sequence_lp(INF)), "lp-iff"),
         (decide(lebesgue_lp(4, c1), lebesgue_lp(2, c1)), "Lp-iff"),
@@ -137,6 +139,14 @@ class TestDecideCommand:
     def test_missing_domain_usage_error(self, capsys):
         code = main(["decide", "--from", "holder:1/2", "--to", "sup"])
         assert code == 64
+
+    def test_pair_below_the_embedding_line_usage_error(self, capsys):
+        # s - t = 1/2 < d/p1 - d/p2 = 1: W^{3/2}_1 does not embed in W^1_2
+        # on the square, so nothing sits between them
+        code = main(["decide", "--from", "slobo:3/2:1", "--to", "slobo:1:2",
+                     "--domain", "cube:2"])
+        assert code == 64
+        assert "rule embedding-line" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["decide", "--from", "slobo:1", "--to", "slobo:0:2", "--domain", "cube:1"],
