@@ -8,7 +8,10 @@ as rational prefactors times f itself:
 
 where P_alpha has exact rational coefficients produced by the product/chain
 rule recurrence from P_0 = 1.  This avoids nested numerical differentiation,
-which is hopeless near the flat support boundary.
+which is hopeless near the flat support boundary.  P_alpha is evaluated
+with each power x_j^k formed once, by multiplication (x_j^k = x_j^(k-1) x_j),
+and shared by all its monomials: NumPy's pow takes a slow scalar path on a
+negative base.
 """
 
 from __future__ import annotations
@@ -38,7 +41,20 @@ _GRID_AXES = 3
 _CELLS_PER_AXIS = 1 << 20
 
 
-def _poly_mul_x(p: Poly, j: int, d: int) -> Poly:
+def _multi_index(alpha: Sequence, dimension: int) -> Tuple[int, ...]:
+    """alpha as a tuple of ints; it must hold exactly dimension entries,
+    each a non-negative integral value."""
+    alpha = tuple(alpha)
+    try:
+        ok = len(alpha) == dimension and all(a >= 0 and a == int(a) for a in alpha)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"bad multi-index {alpha} for dimension {dimension}")
+    return tuple(int(a) for a in alpha)
+
+
+def _poly_mul_x(p: Poly, j: int) -> Poly:
     out: Poly = {}
     for e, c in p.items():
         e2 = e[:j] + (e[j] + 1,) + e[j + 1:]
@@ -70,19 +86,29 @@ def _poly_mul_w(p: Poly, d: int) -> Poly:
     """Multiply by w = 1 - sum x_j^2."""
     out = dict(p)
     for j in range(d):
-        sq = _poly_mul_x(_poly_mul_x(p, j, d), j, d)
+        sq = _poly_mul_x(_poly_mul_x(p, j), j)
         out = _poly_add(out, _poly_scale(sq, Fraction(-1)))
     return out
 
 
 def _poly_eval(p: Poly, X: np.ndarray) -> np.ndarray:
-    # X has shape (n, d)
+    """P at the rows of X, shape (n, d): each monomial c x_0^e0 x_1^e1 ...
+    multiplied left to right and added in p's order, with each power x_j^k
+    formed once, as x_j^(k-1) x_j, and shared across the monomials."""
+    top = np.max(list(p), axis=0)
+    powers = []  # powers[j][k - 1] = x_j^k
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        pw = [col]
+        for _ in range(1, top[j]):
+            pw.append(pw[-1] * col)
+        powers.append(pw)
     out = np.zeros(X.shape[0])
     for e, c in p.items():
         term = np.full(X.shape[0], float(c))
         for j, ej in enumerate(e):
             if ej:
-                term = term * X[:, j] ** ej
+                term *= powers[j][ej - 1]
         out += term
     return out
 
@@ -99,9 +125,7 @@ class SmoothBump:
 
     def derivative_prefactor(self, alpha: Sequence[int]) -> Tuple[Poly, int]:
         """(P_alpha, m_alpha) with d_alpha f = P_alpha / w^m_alpha * f."""
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.dimension or any(a < 0 for a in alpha):
-            raise ValueError(f"bad multi-index {alpha} for dimension {self.dimension}")
+        alpha = _multi_index(alpha, self.dimension)
         if alpha in self._prefactors:
             return self._prefactors[alpha]
         j = next(i for i, a in enumerate(alpha) if a > 0)
@@ -111,14 +135,19 @@ class SmoothBump:
         # R = P/w^m;  d_j R = (d_j P)/w^m + 2 m x_j P / w^(m+1)
         # R * R_ej = -2 x_j P / w^(m+2)
         term1 = _poly_mul_w(_poly_mul_w(_poly_diff(p, j), d), d)
-        term2 = _poly_mul_w(_poly_scale(_poly_mul_x(p, j, d), 2 * m), d)
-        term3 = _poly_scale(_poly_mul_x(p, j, d), Fraction(-2))
+        term2 = _poly_mul_w(_poly_scale(_poly_mul_x(p, j), 2 * m), d)
+        term3 = _poly_scale(_poly_mul_x(p, j), Fraction(-2))
         result = (_poly_add(_poly_add(term1, term2), term3), m + 2)
         self._prefactors[alpha] = result
         return result
 
     def _w(self, X: np.ndarray) -> np.ndarray:
-        return 1.0 - (X * X).sum(axis=1)
+        # the column squares added left to right, as np.sum adds a row of
+        # fewer than 8 entries: (X * X).sum(axis=1) bit for bit
+        sq = X[:, 0] * X[:, 0]
+        for j in range(1, X.shape[1]):
+            sq += X[:, j] * X[:, j]
+        return 1.0 - sq
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -155,7 +184,7 @@ class SmoothBumpMember:
         self.dimension = dimension
         self.center = np.asarray(center, dtype=float)
         self.delta = float(delta)
-        self.alpha = alpha or (0,) * dimension
+        self.alpha = (0,) * dimension if alpha is None else _multi_index(alpha, dimension)
         self._bump = reference_bump(dimension)
 
     @property
@@ -166,7 +195,7 @@ class SmoothBumpMember:
     def _batch(self):
         """(key, params): SignedSum evaluates the members of one key in one
         _values call, with their params stacked row by row."""
-        return (SmoothBumpMember, self.dimension, self.delta, tuple(self.alpha)), \
+        return (SmoothBumpMember, self.dimension, self.delta, self.alpha), \
             (self.center,)
 
     def _values(self, X: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -180,6 +209,7 @@ class SmoothBumpMember:
         return self._values(np.atleast_2d(np.asarray(X, dtype=float)), self.center)
 
     def derivative(self, alpha: Sequence[int]) -> "SmoothBumpMember":
+        alpha = _multi_index(alpha, self.dimension)
         total = tuple(a + b for a, b in zip(self.alpha, alpha))
         return SmoothBumpMember(self.dimension, self.center, self.delta, total)
 

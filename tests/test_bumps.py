@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from rkhs_sandwich import (BumpFamily, SignedSum, SmoothBump, TentMember,
                            ball, cube, smooth_family, tent_family)
 from rkhs_sandwich import greedy_packing
-from rkhs_sandwich.bumps import (IndicatorMember, SmoothBumpMember,
+from rkhs_sandwich.bumps import (IndicatorMember, SmoothBumpMember, _poly_eval,
                                  reference_bump)
 
 
@@ -86,6 +87,75 @@ class TestDerivativeOracle:
         x = np.array([0.5])
         approx = _richardson(lambda y: bump(y.reshape(1, 1))[0], x, 0, 1e-4)
         assert abs(exact - approx) / abs(exact) < 1e-6
+
+
+# every multi-index of order 2 or 3 in dimensions 1, 2 and 3
+_HIGHER_ORDERS = [(d, alpha) for d in (1, 2, 3)
+                  for alpha in itertools.product(range(4), repeat=d)
+                  if 2 <= sum(alpha) <= 3]
+
+
+class TestHigherDerivativeOracle:
+    """Prefactors of degree up to 7, so powers above 1 of every coordinate
+    are evaluated."""
+
+    @pytest.mark.parametrize("d,alpha", _HIGHER_ORDERS)
+    def test_derivative_is_the_difference_of_the_one_below(self, d, alpha):
+        rng = np.random.default_rng(sum(alpha) + 10 * d)
+        bump = reference_bump(d)
+        checked = 0
+        while checked < 12:
+            x = rng.uniform(-0.8, 0.8, size=d)
+            if np.linalg.norm(x) > 0.85 or np.linalg.norm(x) < 0.05:
+                continue
+            exact = bump.derivative_values(alpha, x.reshape(1, d))[0]
+            for j in (k for k in range(d) if alpha[k]):
+                below = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+                approx = _richardson(
+                    lambda y: bump.derivative_values(below, y.reshape(1, d))[0], x, j, 1e-3)
+                rel = abs(exact - approx) / max(abs(exact), abs(approx), 1e-12)
+                assert rel < 1e-6, (x, j, exact, approx)
+            checked += 1
+
+    @pytest.mark.parametrize("d,alpha", _HIGHER_ORDERS)
+    def test_prefactor_matches_exact_rational_evaluation(self, d, alpha):
+        # full-mantissa coordinates, so that the powers round; each value is
+        # held to 8 eps of the sum of its monomials' magnitudes
+        p, _ = reference_bump(d).derivative_prefactor(alpha)
+        Y = np.random.default_rng(len(p)).uniform(-1.0, 1.0, size=(40, d))
+        got = _poly_eval(p, Y)
+        eps = Fraction(np.finfo(float).eps)
+        for y, value in zip(Y.tolist(), got.tolist()):
+            y = [Fraction(v) for v in y]
+            terms = [c * math.prod(yj ** ej for yj, ej in zip(y, e))
+                     for e, c in p.items()]
+            assert abs(Fraction(value) - sum(terms)) <= 8 * eps * sum(map(abs, terms))
+
+
+class TestMultiIndex:
+    """A multi-index holds one non-negative integral entry per axis, and is
+    refused where it is built."""
+
+    def test_fractional_order(self):
+        with pytest.raises(ValueError):
+            reference_bump(1).derivative_prefactor((1.5,))
+
+    def test_extra_axis_on_derivative(self):
+        with pytest.raises(ValueError):
+            SmoothBumpMember(2, np.zeros(2), 0.5).derivative((1, 0, 0))
+
+    def test_missing_axis_on_derivative(self):
+        with pytest.raises(ValueError):
+            SmoothBumpMember(2, np.zeros(2), 0.5).derivative((1,))
+
+    def test_missing_axis_on_member(self):
+        with pytest.raises(ValueError):
+            SmoothBumpMember(2, np.zeros(2), 0.5, alpha=(1,))
+
+    def test_integral_values_are_kept_as_ints(self):
+        m = SmoothBumpMember(2, np.zeros(2), 0.5, alpha=(np.int64(1), 1.0))
+        assert m.alpha == (1, 1) and all(type(a) is int for a in m.alpha)
+        assert m.derivative((0, 2.0)).alpha == (1, 3)
 
 
 class TestMembersAndFamilies:

@@ -48,6 +48,13 @@ class TestConfig:
         (2, (0, 0), 2, "0x1.ddeafd118633ep-1"),
         (2, (1, 0), 1, "0x1.34f798c9b803bp+1"),
         (2, (1, 0), 2, "0x1.c5bf891bdbfa2p+0"),
+        # prefactors with powers above 1
+        (1, (2,), 1, "0x1.15ce5d1b85d45p+3"),
+        (1, (2,), 2, "0x1.1e50a9fdc7871p+3"),
+        (2, (1, 1), 1, "0x1.351027124c110p+2"),
+        (2, (1, 1), 2, "0x1.4f8d2287ea687p+2"),
+        (2, (2, 0), 1, "0x1.62f08719b3e39p+3"),
+        (2, (2, 0), 2, "0x1.229890ac1944cp+3"),
     ])
     def test_lp_norm_values_are_pinned(self, d, alpha, p, expected):
         # recorded bit for bit: any change of the starting resolution, the
