@@ -264,6 +264,10 @@ class IndicatorMember:
 class SignedSum:
     """sum_i eps_i f_i over family members with a fixed sign pattern.
 
+    A sum is its members and its signs: nothing else is derived before a
+    call, so a sum that is only read (lp_norm integrates its members one by
+    one) costs nothing more.
+
     A call gives the sum's values at the points X.  Given an n x k matrix
     of +-1 signs, one row per member, it gives instead the points x k
     values of the k sign patterns of its columns, column j equal bit for bit
@@ -275,22 +279,16 @@ class SignedSum:
     w <= _W_FLOOR, IndicatorMember outside its cell.  A call evaluates the
     members into a sparse member-value matrix: its rows are the points, its
     columns the members in member order, and its entries each member's
-    values at its candidate points, with exact zeros dropped.  The
-    candidates come from a uniform cell grid on the first _GRID_AXES axes
-    (fixed-radius near-neighbour search; Bentley, Stanat & Williams, Inf.
-    Proc. Lett. 6, 1977) whose cell side on each axis is the widest support
-    box, widened by _BOX_PAD against rounding: a box then touches 2 cells
-    per axis (3 where a face rounds onto a cell edge), and the points of
-    those cells are its member's candidates.  The members that share a
-    _batch key (tents of one delta and alpha; smooth bumps of one
-    dimension, delta and derivative) are evaluated in one _values call with
-    their params stacked per candidate, by the formula their own __call__
-    uses.  The sums are then one np.bincount of the entries times their
-    column's signs over the (point, pattern) bins.  bincount adds each
-    bin's entries in member order from 0.0, and a partial sum that starts
-    at 0.0 is never -0.0, so a dropped zero would have left it unchanged:
-    the values equal the sum over all members at all points bit for bit,
-    np.signbit included.
+    values at its candidate points (_candidates), with exact zeros dropped.
+    The members that share a _batch key (tents of one delta and alpha;
+    smooth bumps of one dimension, delta and derivative) are evaluated in
+    one _values call with their params stacked per candidate, by the
+    formula their own __call__ uses.  The sums are then one np.bincount of
+    the entries times their column's signs over the (point, pattern) bins.
+    bincount adds each bin's entries in member order from 0.0, and a
+    partial sum that starts at 0.0 is never -0.0, so a dropped zero would
+    have left it unchanged: the values equal the sum over all members at
+    all points bit for bit, np.signbit included.
     """
 
     def __init__(self, members: Sequence, signs: Sequence[int]):
@@ -298,27 +296,10 @@ class SignedSum:
         self.signs = list(signs)
         # the sum's own signs as an n x 1 sign matrix
         self._column = _checked_signs(self.signs, len(self.members), 1)[:, None]
-        self._boxes = [m.support_box for m in self.members]
-        self._grid = _CellGrid(self._boxes)
-        # the members that share a _batch key form one group, kept as (a
-        # representative, their params stacked); a member's group and its
-        # row in the stacked params
-        batches = [m._batch for m in self.members]
-        keyed: Dict = {}
-        for j, (key, _) in enumerate(batches):
-            keyed.setdefault(key, []).append(j)
-        self._groups = []
-        self._group_of = np.empty(len(self.members), dtype=np.intp)
-        self._slot = np.empty(len(self.members), dtype=np.intp)
-        for g, js in enumerate(keyed.values()):
-            params = [np.array(p) for p in zip(*(batches[j][1] for j in js))]
-            self._groups.append((self.members[js[0]], params))
-            self._group_of[js] = g
-            self._slot[js] = np.arange(len(js))
 
     @property
     def support_boxes(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        return list(self._boxes)
+        return [m.support_box for m in self.members]
 
     def __call__(self, X: np.ndarray, signs=None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -334,16 +315,25 @@ class SignedSum:
     def _matrix(self, X: np.ndarray):
         """(rows, cols, vals): the member-value matrix's nonzero entries,
         member by member, as point indices, member indices and values."""
-        rows, cols = self._grid.candidates(X)
-        vals = np.empty(len(rows))
-        group = self._group_of[cols]
+        rows, cols = _candidates(self.support_boxes, X)
+        # the members of one _batch key form a group, numbered in order of
+        # first appearance
+        batches = [m._batch for m in self.members]
+        ids: Dict = {}
+        group_of = np.array([ids.setdefault(key, len(ids)) for key, _ in batches],
+                            dtype=np.intp)
+        group = group_of[cols]
         by_group = np.argsort(group, kind="stable")
-        bounds = np.searchsorted(group[by_group], np.arange(len(self._groups) + 1))
-        for g, (rep, params) in enumerate(self._groups):
+        bounds = np.searchsorted(group[by_group], np.arange(len(ids) + 1))
+        vals = np.empty(len(rows))
+        for g in range(len(ids)):
             sel = by_group[bounds[g]:bounds[g + 1]]
             if len(sel):
-                slot = self._slot[cols[sel]]
-                vals[sel] = rep._values(X[rows[sel]], *(p[slot] for p in params))
+                js = np.flatnonzero(group_of == g)
+                params = [np.array(p) for p in zip(*(batches[j][1] for j in js))]
+                at = np.searchsorted(js, cols[sel])  # rows of the stacked params
+                vals[sel] = self.members[js[0]]._values(
+                    X[rows[sel]], *(p[at] for p in params))
         nz = (vals != 0.0).nonzero()[0]
         return rows[nz], cols[nz], vals[nz]
 
@@ -351,58 +341,54 @@ class SignedSum:
         return SignedSum([m.derivative(alpha) for m in self.members], self.signs)
 
 
-class _CellGrid:
-    """A uniform grid of cells over the first _GRID_AXES axes of a list of
-    boxes, each box widened by _BOX_PAD.  The cell side on each axis is the
-    widest box (or 1/_CELLS_PER_AXIS of the boxes' span, if that is more,
-    so that the cell keys fit in int64), so each box touches at most 2 cells
-    per axis, 3 where its faces round onto cell edges."""
+def _candidates(boxes, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): for each box, the points of X in the cells it touches
+    of a uniform cell grid on the first _GRID_AXES axes, as point and box
+    indices, box by box (fixed-radius near-neighbour search; Bentley,
+    Stanat & Williams, Inf. Proc. Lett. 6, 1977).
 
-    def __init__(self, boxes):
-        # each box's cell keys, box by box, and the box they belong to
-        self.keys = np.empty(0, dtype=np.int64)
-        self.owner = np.empty(0, dtype=np.intp)
-        if not boxes:
-            return
-        m = len(boxes)
-        lo = np.array([b[0] for b in boxes], dtype=float).reshape(m, -1)[:, :_GRID_AXES]
-        hi = np.array([b[1] for b in boxes], dtype=float).reshape(m, -1)[:, :_GRID_AXES]
-        pad = _BOX_PAD * (np.abs(lo) + np.abs(hi))
-        lo, hi = lo - pad, hi + pad
-        self.origin = lo.min(axis=0)
-        side = np.maximum((hi - lo).max(axis=0),
-                          (hi.max(axis=0) - self.origin) / _CELLS_PER_AXIS)
-        self.side = np.where(side > 0.0, side, 1.0)
-        # the cells of lo and hi bound those of every point in the box, as
-        # (x - origin) / side is monotone in x
-        first = self._cells(lo).astype(np.int64)
-        last = self._cells(hi).astype(np.int64)
-        self.shape = last.max(axis=0) + 1
-        self.stride = np.append(np.cumprod(self.shape[:0:-1])[::-1], 1)
-        reach = last - first + 1
-        steps = np.array(list(itertools.product(range(int(reach.max())),
-                                                repeat=lo.shape[1])))
-        self.owner, step = np.nonzero(np.all(steps < reach[:, None], axis=2))
-        self.keys = (first @ self.stride)[self.owner] + (steps @ self.stride)[step]
+    Each box is widened by _BOX_PAD against rounding.  The cell side on
+    each axis is the widest box (or 1/_CELLS_PER_AXIS of the boxes' span,
+    if that is more, so that the cell keys fit in int64), so each box
+    touches at most 2 cells per axis, 3 where its faces round onto cell
+    edges."""
+    if not boxes:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    m = len(boxes)
+    lo = np.array([b[0] for b in boxes], dtype=float).reshape(m, -1)[:, :_GRID_AXES]
+    hi = np.array([b[1] for b in boxes], dtype=float).reshape(m, -1)[:, :_GRID_AXES]
+    pad = _BOX_PAD * (np.abs(lo) + np.abs(hi))
+    lo, hi = lo - pad, hi + pad
+    origin = lo.min(axis=0)
+    side = np.maximum((hi - lo).max(axis=0),
+                      (hi.max(axis=0) - origin) / _CELLS_PER_AXIS)
+    side = np.where(side > 0.0, side, 1.0)
 
-    def _cells(self, X: np.ndarray) -> np.ndarray:
-        return np.floor((X[:, :len(self.side)] - self.origin) / self.side)
+    def cells(Z: np.ndarray) -> np.ndarray:
+        return np.floor((Z[:, :len(side)] - origin) / side)
 
-    def candidates(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(rows, cols): the points of X in the cells each box touches, as
-        point and box indices, box by box."""
-        if not len(self.keys):
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        cells = np.clip(self._cells(X), -1.0, self.shape)  # keeps the cast finite
-        inside = np.all((cells >= 0.0) & (cells < self.shape), axis=1)
-        keys = np.where(inside, cells.astype(np.int64) @ self.stride, -1)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        start = np.searchsorted(sorted_keys, self.keys, side="left")
-        count = np.searchsorted(sorted_keys, self.keys, side="right") - start
-        # box cell e's k-th point is order[start[e] + k]
-        shift = np.repeat(start - (np.cumsum(count) - count), count)
-        return order[np.arange(len(shift)) + shift], np.repeat(self.owner, count)
+    # the cells of lo and hi bound those of every point in the box, as
+    # (x - origin) / side is monotone in x
+    first = cells(lo).astype(np.int64)
+    last = cells(hi).astype(np.int64)
+    shape = last.max(axis=0) + 1
+    stride = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+    reach = last - first + 1
+    steps = np.array(list(itertools.product(range(int(reach.max())),
+                                            repeat=lo.shape[1])))
+    # each box's cell keys, box by box, and the box they belong to
+    owner, step = np.nonzero(np.all(steps < reach[:, None], axis=2))
+    box_keys = (first @ stride)[owner] + (steps @ stride)[step]
+    at = np.clip(cells(X), -1.0, shape)  # keeps the cast finite
+    inside = np.all((at >= 0.0) & (at < shape), axis=1)
+    keys = np.where(inside, at.astype(np.int64) @ stride, -1)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    start = np.searchsorted(sorted_keys, box_keys, side="left")
+    count = np.searchsorted(sorted_keys, box_keys, side="right") - start
+    # box cell e's k-th point is order[start[e] + k]
+    shift = np.repeat(start - (np.cumsum(count) - count), count)
+    return order[np.arange(len(shift)) + shift], np.repeat(owner, count)
 
 
 def _checked_signs(signs, n: int, ndim: int) -> np.ndarray:

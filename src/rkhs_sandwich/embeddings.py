@@ -156,9 +156,6 @@ def _smooth_pair(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
         if p1 >= p2 and q1 <= q2 and r3_ok:
             # lower the integration index, then relax the fein index
             return _holds("R3+R4")
-    if same_family and p1 == p2 and s > t:
-        # any fein-index change is absorbed by an arbitrarily small smoothness cost
-        return _holds("R4")
     if not same_family and s > t and s - t > gap_needed:
         return _holds("R5")
     return _open("no smoothness-scale rule applies to this parameter combination")

@@ -81,9 +81,10 @@ class NormFunctional:
     kinds:
       lp-of-derivative(alpha, p)  -- ||d_alpha g||_Lp over the support
       slobodeckij(theta, p)       -- the Gagliardo double integral seminorm
-      slobodeckij-norm(s, p)      -- full norm: max of derivative Lp norms up
-                                     to order floor(s) plus the fractional
-                                     seminorms of the top-order derivatives
+      slobodeckij-norm(s, p)      -- full norm: one max over the derivative
+                                     Lp norms up to order floor(s) and the
+                                     fractional seminorms of the top-order
+                                     derivatives
       hoelder(alpha)              -- sup norm + best Hoelder quotient over a
                                      point cloud (certified lower bound)
       sup                          -- sup over a point cloud
@@ -187,8 +188,9 @@ def _midpoint_grid(lo: np.ndarray, hi: np.ndarray, res: int) -> Tuple[np.ndarray
 
 
 # lp_norm starts at LP_RESOLUTION points per axis and doubles them per level
-# up to its per-axis cap: LP_MAX_RESOLUTION in d = 1, then 2048, 256 and 64
-# in d = 2, 3 and higher
+# up to its per-axis cap: LP_MAX_RESOLUTION in d = 1, then 2048 and 256 in
+# d = 2 and 3; a level evaluates res^d points, so d >= 4 runs none and
+# refuses at once
 LP_RESOLUTION = 64
 LP_MAX_RESOLUTION = 8192
 _LP_CAPS = {1: LP_MAX_RESOLUTION, 2: 2048, 3: 256}
@@ -212,7 +214,7 @@ def lp_norm(fn, p: float, domain: DomainSpec,
     if not boxes:
         return 0.0
     d = len(boxes[0][0])
-    cap = _LP_CAPS.get(d, 64)
+    cap = _LP_CAPS.get(d, 0)
     r2 = float(domain.radius) ** 2 if domain.kind == "euclidean-ball" else None
 
     def levels():
@@ -230,7 +232,8 @@ def lp_norm(fn, p: float, domain: DomainSpec,
 
     return _converged(levels(), config.tolerance,
                       f"Lp quadrature did not converge below rel "
-                      f"{config.tolerance:g} at per-axis resolution {cap}")
+                      f"{config.tolerance:g} at per-axis resolution {cap} "
+                      f"in dimension {d}")
 
 
 # -- Hoelder ----------------------------------------------------------------
@@ -481,9 +484,10 @@ def _difference_sum(fn, p: float, lo, hi, boxes, z: np.ndarray,
 
 def slobodeckij_norm(fn, s: float, p: float, domain: DomainSpec,
                      config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Full scale norm: max over |alpha| <= floor(s) of the derivative Lp
-    norms, plus (for fractional s) the theta-seminorms of the top order.  An
-    s within 1e-12 of an integer, on either side, counts as that integer."""
+    """Full scale norm: one max over the derivative Lp norms of every
+    |alpha| <= floor(s) and (for fractional s) the theta-seminorms of the
+    top order.  An s within 1e-12 of an integer, on either side, counts as
+    that integer."""
     m = round(s) if abs(s - round(s)) < 1e-12 else math.floor(s)
     theta = 0.0 if abs(s - m) < 1e-12 else s - m
     d = domain.dimension

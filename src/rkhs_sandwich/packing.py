@@ -4,10 +4,11 @@ Candidate points live on an integer lattice (coordinates are integer
 multiples of a common denominator), so the pairwise >= delta constraint in
 the power metric d^alpha is an exact integer comparison.  The candidates of
 a cube or ball are one boolean grid, one byte per cell, whose alive cells
-are the lattice points inside the domain; a grid of more than 2^22 cells is
-refused before it is allocated.  The greedy clears a ball stencil of
-integer offsets, computed once, from that grid, and the brute-force oracle
-reads its alive cells.
+are the lattice points inside the domain; a grid of more than 2^22 cells,
+or a lattice whose spacing leaves the range of floats, is refused before
+it is allocated.  The greedy clears a ball stencil of integer offsets,
+computed once, from that grid, and the brute-force oracle reads its alive
+cells.
 """
 
 from __future__ import annotations
@@ -55,22 +56,20 @@ class PackingResult:
         return self.lattice / self.den
 
 
-def _euclidean_radius(delta: Fraction, alpha: Fraction) -> float:
-    # packing radius in d^alpha corresponds to Euclidean radius delta^(1/alpha)
-    return float(delta) ** (1.0 / float(alpha))
-
-
 def _min_sq_lattice(delta: Fraction, alpha: Fraction, den: int) -> int:
     """Smallest integer I such that a lattice pair with squared Euclidean
-    distance I/den^2 satisfies dist^alpha >= delta.  Exact."""
+    distance I/den^2 satisfies dist^alpha >= delta.  Exact: the predicate
+    grows with I, so doubling brackets I in (lo, hi] and bisection closes
+    the bracket, in O(log I) exact comparisons at any scale."""
     far_sq = _far_predicate(delta, alpha / 2)  # dist^alpha = (dist^2)^(alpha/2)
     sq = den ** 2
-    i = max(1, math.floor(float(delta) ** (2 / float(alpha)) * sq) - 2)
-    while not far_sq(Fraction(i, sq)):
-        i += 1
-    while i > 1 and far_sq(Fraction(i - 1, sq)):
-        i -= 1
-    return i
+    lo, hi = 0, 1  # far_sq(0) is False, as delta > 0
+    while not far_sq(Fraction(hi, sq)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if far_sq(Fraction(mid, sq)) else (mid, hi)
+    return hi
 
 
 # the candidate lattice spacing is the Euclidean packing radius over this
@@ -78,8 +77,18 @@ _SPACING_DIVISOR = 4
 
 
 def _grid_denominator(delta: Fraction, alpha: Fraction) -> int:
-    r = _euclidean_radius(delta, alpha)
-    return max(2, math.ceil(_SPACING_DIVISOR / r))
+    """max(2, ceil(_SPACING_DIVISOR / r)) for the Euclidean radius
+    r = delta^(1/alpha) that the packing radius delta in d^alpha
+    corresponds to.  Refused with PackingError where r or
+    _SPACING_DIVISOR / r is not a finite positive float."""
+    try:
+        inverse = _SPACING_DIVISOR / float(delta) ** (1.0 / float(alpha))
+    except (OverflowError, ZeroDivisionError):  # r beyond the floats, or 0.0
+        inverse = math.inf
+    if not inverse < math.inf:
+        raise PackingError(f"the Euclidean packing radius delta^(1/alpha) at "
+                           f"delta={delta}, alpha={alpha} leaves the range of floats")
+    return max(2, math.ceil(inverse))
 
 
 def _lattice_greedy(alive: np.ndarray, min_sq: int) -> np.ndarray:
@@ -134,18 +143,20 @@ def _candidate_grid(domain: DomainSpec, delta: Fraction,
         raise PackingError(f"no candidate grid for domain kind {domain.kind!r}")
     d = domain.dimension
     cube = domain.kind == "unit-cube"
-    lim = 0 if cube else math.ceil(float(domain.radius) * den)
+    r = Fraction(domain.radius)
+    lim = 0 if cube else math.ceil(r * den)
     side = den - 1 if cube else 2 * lim + 1
     if side ** d > _MAX_GRID_CELLS:
-        raise PackingError(f"the candidate grid at delta={delta} would have "
-                           f"{side}^{d} cells, more than {_MAX_GRID_CELLS}")
+        # a side past the bound can run to hundreds of digits
+        raise PackingError(f"the candidate grid at delta={delta} would have " + (
+            f"{side}^{d} cells, more than {_MAX_GRID_CELLS}" if side <= _MAX_GRID_CELLS
+            else f"more than {_MAX_GRID_CELLS} cells on one axis"))
     if cube:
         return np.ones((side,) * d, dtype=bool), 1
     # the closed ball |k| <= p den / q for radius p/q: q^2 |k|^2 <= p^2 den^2,
     # and for the integer |k|^2 that is |k|^2 <= p^2 den^2 // q^2; the last
     # axis is compared against the bound less the others, so the sum of
     # squares is never laid out cell by cell
-    r = Fraction(domain.radius)
     sq = np.arange(-lim, lim + 1, dtype=np.int64) ** 2
     axes = np.ix_(*[sq] * d)
     bound = (r.numerator * den) ** 2 // r.denominator ** 2

@@ -315,6 +315,16 @@ class TestSignedSumSlices:
         _assert_bitwise(h(X), _member_loop(h, X))
         assert h(X).shape == (0,)
 
+    def test_no_members(self):
+        # an empty sum is +0.0 at every point: one value per point, or one
+        # column per sign pattern
+        h = SignedSum([], [])
+        X = np.random.default_rng(6).uniform(0, 1, size=(7, 2))
+        assert h.support_boxes == []
+        _assert_bitwise(h(X), np.zeros(7))
+        _assert_bitwise(h(X, signs=np.empty((0, 3))), np.zeros((7, 3)))
+        _assert_bitwise(h.derivative((1, 0))(X), np.zeros(7))
+
     def test_unsorted_points_keep_their_order(self):
         members = _random_members("tent", 2, np.random.default_rng(4), 6)
         h = SignedSum(members, [1, -1, 1, -1, 1, -1])

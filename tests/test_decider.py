@@ -92,6 +92,12 @@ class TestHolderPairs:
                 assert v.rule == "holder-packing"
                 assert "could not be fitted" in v.reason
 
+    def test_pair_on_the_whole_space_is_refused(self):
+        # R^d has no finite packing exponent to weigh the gap against
+        dom = whole_space(2)
+        with pytest.raises(DecisionError, match="no packing exponent"):
+            decide(holder(1, dom), holder(Fraction(1, 2), dom))
+
 
 class TestSmoothScalePairs:
     def test_slobodeckij_feasible_interval(self):
@@ -228,6 +234,56 @@ class TestMixedSmoothness:
             for p2 in (1, 2, 3):
                 v = decide(mixed_sobolev(A, p1, dom), mixed_sobolev(B, p2, dom))
                 assert v.status in ("Infeasible", "Undetermined")
+
+
+    def test_gap_below_the_deficiency_is_infeasible(self):
+        # d = 3, p1 = p2 = 8: the line d/p1 - d/p2 is 0 and the deficiency
+        # (d/2 - d/p2)_+ = 9/8 tops the order gap |A|1 - |B|1 = 1, so the
+        # cotype part overshoots by 9/8 - 1
+        dom = cube(3)
+        A = coherent_closure([(1, 1, 0)], 3)
+        B = coherent_closure([(1, 0, 0)], 3)
+        v = decide(mixed_sobolev(A, 8, dom), mixed_sobolev(B, 8, dom))
+        d, p, gap = Fraction(3), Fraction(8), 2 - 1
+        assert v.status == "Infeasible" and v.rule == "mixed-necessity"
+        assert v.obstruction.mode == "cotype2"
+        assert v.obstruction.construction == "smooth-scaled-bumps"
+        assert v.obstruction.predicted_exponent == xr(d / 2 - d / p - gap)
+
+    def test_gap_below_the_line_is_refused(self):
+        # |A|1 - |B|1 = 0 < d/p1 - d/p2 = 2/2 - 2/4: no embedding to sit in
+        dom = cube(2)
+        A = coherent_closure([(1, 0)], 2)
+        with pytest.raises(DecisionError, match="violates"):
+            decide(mixed_sobolev(A, 2, dom), mixed_sobolev(A, 4, dom))
+
+    @pytest.mark.parametrize("d,p,indices", [
+        (3, 2, [(1, 0, 0)]),      # |A|1 = 1 < d/p = 3/2
+        (3, 3, [(1, 0, 0)]),      # d/p = 1 <= 1 < threshold 3/2
+        (3, 6, [(1, 0, 0)]),      # d/p = 1/2 <= 1 < threshold 3/2
+        (2, 2, [(1, 0)]),         # |A|1 = d/p = threshold 1
+        (2, 2, [(1, 1)]),         # |A|1 = 2 above threshold 1
+        (1, 4, [(2,)]),           # |A|1 = 2 above threshold 1/2
+    ])
+    def test_bounded_target(self, d, p, indices):
+        # Undetermined below d/p; Infeasible, cotype2 with exponent
+        # d/2 - |A|1, below the threshold (d/p - d/2)_+ + d/2; Undetermined
+        # from the threshold on, where only necessity is known
+        A = coherent_closure(indices, d)
+        order = max(sum(a) for a in indices)
+        threshold = max(Fraction(d, p) - Fraction(d, 2), 0) + Fraction(d, 2)
+        v = decide_bounded_target(mixed_sobolev(A, p, cube(d)))
+        assert v.rule == "c0-threshold"
+        if order < Fraction(d, p):
+            assert v.status == "Undetermined"
+            assert "d/p" in v.reason
+        elif order < threshold:
+            assert v.status == "Infeasible"
+            assert v.obstruction.mode == "cotype2"
+            assert v.obstruction.predicted_exponent == xr(Fraction(d, 2) - order)
+        else:
+            assert v.status == "Undetermined"
+            assert "necessary condition" in v.reason
 
 
 class TestInvariantsAndRecipes:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rkhs_sandwich import (INF, ball, besov, c_infinity, chain_holds,
@@ -130,6 +130,15 @@ class TestEmbedsExamples:
         v2 = embeds(slobodeckij(Fraction(1, 4), 2, cube(1)), sup_space(cube(1)))
         assert v2.status == "Undetermined"
 
+    def test_holder_into_bounded_functions(self):
+        v = embeds(holder(Fraction(1, 2), cube(2)), sup_space(cube(2)))
+        assert v.holds and v.rule == "R7"
+
+    def test_lebesgue_into_bounded_functions_is_open(self):
+        for p in (xr(2), INF):
+            v = embeds(lebesgue_lp(p, cube(1)), sup_space(cube(1)))
+            assert v.status == "Undetermined" and v.rule is None
+
     def test_domain_mismatch(self):
         with pytest.raises(DomainError):
             embeds(holder(1, cube(1)), holder(1, cube(2)))
@@ -162,6 +171,23 @@ class TestEmbedsProperties:
         assert (v.status == "Fails") == below
         if below:
             assert v.rule == "embedding-line"
+
+    @given(frac, frac, pvals, pvals, pvals,
+           st.sampled_from(["besov", "triebel-lizorkin"]), st.integers(1, 3))
+    def test_equal_integration_index_cites_r1_or_r2(self, t, bump, p, q1, q2,
+                                                     family, d):
+        # at p1 = p2 the line d/p1 - d/p2 is 0, so any s > t clears it:
+        # a pair that is Triebel-Lizorkin once rewritten holds by R1, a
+        # Besov one by R2, whatever the fein indices
+        assume(family == "besov" or p.is_finite)
+        make = besov if family == "besov" else triebel_lizorkin
+        E, F = make(t + bump, p, q1, cube(d)), make(t, p, q2, cube(d))
+        canonical = {rewrite_identifications(X).family for X in (E, F)}
+        assume(len(canonical) == 1)
+        v = embeds(E, F)
+        assert v.holds
+        assert v.rule.split("+")[-1] == \
+            ("R1" if canonical == {"triebel-lizorkin"} else "R2")
 
     def test_transitive_fragment_assembles_chains(self):
         E = besov(2, 2, 2, cube(2))

@@ -146,6 +146,17 @@ class TestLpNorm:
                 assert lp_norm(h, p, fam.domain, cfg) == \
                     lp_norm(Hidden(h), p, fam.domain, cfg)
 
+    def test_four_dimensions_are_refused_before_any_grid(self, monkeypatch):
+        # one 64^4 level would hold 1.3 GB of points; d >= 4 has no level
+        def no_grid(*args):
+            raise AssertionError("a quadrature grid was laid")
+
+        monkeypatch.setattr(norms, "_midpoint_grid", no_grid)
+        member = SmoothBumpMember(4, np.full(4, 0.5), 0.25)
+        with pytest.raises(AccuracyError, match="in dimension 4") as err:
+            lp_norm(member, 2, cube(4))
+        assert err.value.achieved == math.inf
+
     def test_refusal_reports_the_last_relative_change(self):
         # levels of a fast oscillation keep moving up to the 2-D cap of 2048
         # points per axis; achieved is the change between the last two

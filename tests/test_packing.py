@@ -295,6 +295,62 @@ class TestCandidateGrid:
         assert peak < 4 << 20
 
 
+class TestFloatRange:
+    """The Euclidean radius delta^(1/alpha) fixes the lattice: outside the
+    floats it is refused before any grid is laid, and the lattice threshold
+    is exact at any scale."""
+
+    @pytest.mark.parametrize("dom,delta,alpha", [
+        (cube(1), Fraction(5), Fraction(1, 1000)),        # 5^1000 overflows
+        (cube(1), Fraction(1, 1000), Fraction(1, 1000)),  # 10^-3000 is 0.0
+        (ball(2), Fraction(1, 1000), Fraction(1, 500)),   # 10^-1500 is 0.0
+        (cube(1), Fraction(1, 64), Fraction(1, 1000)),
+        (cube(1), Fraction(1, 2), Fraction(1, 1023)),     # 4 / 2^-1023 overflows
+    ])
+    def test_radius_outside_the_floats_is_refused(self, monkeypatch, dom, delta,
+                                                  alpha):
+        def no_grid(*args):
+            raise AssertionError("a candidate grid was laid")
+
+        monkeypatch.setattr(packing, "_candidate_grid", no_grid)
+        for pack in (greedy_packing, brute_force_packing):
+            with pytest.raises(PackingError, match="leaves the range of floats"):
+                pack(dom, delta, alpha)
+
+    @pytest.mark.parametrize("dom,alpha", [
+        (cube(1), Fraction(1, 1000)),   # den near 2^1002: a side of 302 digits
+        (ball(1, 5), Fraction(1, 1021)),  # den 2^1023, 5 den past the floats
+    ])
+    def test_oversized_side_is_not_printed(self, dom, alpha):
+        with pytest.raises(PackingError) as err:
+            greedy_packing(dom, Fraction(1, 2), alpha)
+        assert str(err.value) == ("the candidate grid at delta=1/2 would have "
+                                  "more than 4194304 cells on one axis")
+
+    def test_lattice_threshold_is_exact_far_past_the_mantissa(self, monkeypatch):
+        # at alpha/2 = 1/40 the threshold is the least I with
+        # (I/den^2)^(1/40) >= 5, I = 4 * 5^40 ~ 3.6e28 at den 2: a float
+        # guess of it is off by about 10^12, and exact steps from the guess
+        # never arrive; doubling and bisection take about 200 comparisons
+        calls = []
+        far = packing._far_predicate
+
+        def counted(delta, alpha):
+            test = far(delta, alpha)
+
+            def step(dist):
+                calls.append(dist)
+                assert len(calls) < 1000
+                return test(dist)
+            return step
+
+        monkeypatch.setattr(packing, "_far_predicate", counted)
+        assert packing._min_sq_lattice(Fraction(5), Fraction(1, 20), 2) == 4 * 5 ** 40
+        monkeypatch.undo()
+        res = greedy_packing(cube(1), 5, Fraction(1, 20))
+        assert (res.count, res.den) == (1, 2)
+
+
 class TestCenters:
     """The float centers are k / den from the integer lattice, the Fraction
     centers are built only where they are read."""

@@ -524,6 +524,32 @@ class TestPackingCommand:
                                        "would have 513^3 cells")
 
 
+    @pytest.mark.parametrize("argv", [
+        ["packing", "--domain", "cube:1", "--deltas", "5", "--alpha", "1/1000"],
+        ["packing", "--domain", "cube:1", "--deltas", "1/1000", "--alpha", "1/1000"],
+        ["packing", "--domain", "ball:2", "--deltas", "1/1000", "--alpha", "1/500"],
+        ["scan", "--from", "holder:1/1000", "--to", "sup", "--domain", "cube:1",
+         "--deltas", "1/64,1/128"],
+    ])
+    def test_radius_outside_the_floats_is_a_usage_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("error: the Euclidean packing radius "
+                                       "delta^(1/alpha) at delta=")
+        assert captured.err.endswith("leaves the range of floats\n")
+
+    def test_oversized_grid_side_is_not_printed(self, capsys):
+        code = main(["scan", "--from", "holder:1/1000", "--to", "sup", "--domain",
+                     "cube:1", "--deltas", "1/2,1/4"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err == ("error: the candidate grid at delta=1/2 would have "
+                                "more than 4194304 cells on one axis\n")
+
+
 class TestIrkbsCommand:
     def test_cosine_bounded(self, capsys):
         code, out = _run(capsys, ["irkbs", "--series", "cos",
