@@ -57,8 +57,9 @@ class QuadratureConfig:
 
     lp_norm and slobodeckij_seminorm read tolerance; each grows its rule
     along a fixed sequence up to a fixed cap per dimension (lp_norm's is
-    _LP_CAPS).  mc_samples is read by the sign averages of rademacher, not
-    by the quadratures.
+    _LP_CAPS).  mc_samples is read by rademacher_norm, not by the
+    quadratures: a family of n members draws min(mc_samples,
+    max(4, 20000 // n)) sign patterns.
     """
 
     tolerance: float = 1e-5      # relative agreement between refinements

@@ -8,7 +8,6 @@ blow-up exponent from the log-log series.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,15 +29,10 @@ class DomainTooSmallError(ScanError):
     pass
 
 
-class ModeError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RademacherEstimate:
     value: float
-    stderr: Optional[float]  # None in exhaustive mode
-    mode: str
+    stderr: float
     patterns: int
 
 
@@ -48,58 +42,51 @@ _CLOUD_VALUES = 1 << 20
 
 
 def rademacher_norm(members: Sequence, functional: NormFunctional,
-                    domain: DomainSpec, mode: str = "exhaustive",
-                    config: QuadratureConfig = DEFAULT_CONFIG,
+                    domain: DomainSpec, config: QuadratureConfig = DEFAULT_CONFIG,
                     seed: Union[int, np.random.Generator, None] = None
                     ) -> RademacherEstimate:
     """E || sum_i eps_i f_i ||_F over the members f_i and independent
-    uniform signs.
+    uniform signs, estimated by Monte Carlo with the standard error of the
+    mean.
 
-    Exhaustive mode averages all 2^n patterns (n <= 20); monte-carlo mode
-    draws config.mc_samples patterns from a seeded generator and reports the
-    standard error of the mean.  seed may also be a numpy Generator that the
-    caller shares across calls: it is used as is, so consecutive calls draw
-    consecutive stretches of one sign stream.
+    The n members take min(config.mc_samples, max(4, 20000 // n)) patterns:
+    at most about 20000 member-pattern terms, but never fewer than 4
+    patterns unless fewer are asked for.  Each pattern is one
+    rng.choice((1, -1), size=n) draw from np.random.default_rng(seed).  seed
+    may also be a numpy Generator that the caller shares across calls: it is
+    used as is, so consecutive calls draw consecutive stretches of one sign
+    stream.
 
-    A point-cloud NormFunctional (hoelder, sup) measures up to
-    _CLOUD_VALUES / cloud size patterns in one call on one SignedSum's
-    values for their sign matrix, stacked points x patterns, which gives
-    each pattern the value of its own call; any other functional is called
-    once per pattern, on that pattern's SignedSum.
+    F must be a point-cloud NormFunctional (hoelder or sup; any other is
+    refused with ScanError), on its own points or on the default cloud of
+    the members' sum.  Up to _CLOUD_VALUES / cloud size patterns are
+    measured at once: one SignedSum call gives their values on the cloud
+    for their sign matrix, stacked points x patterns, and one functional
+    call measures every column, which gives each pattern the value of its
+    own call.
     """
     n = len(members)
     if n == 0:
         raise ValueError("empty family")
-    if mode == "exhaustive":
-        if n > 20:
-            raise ModeError(f"exhaustive mode supports n <= 20, got {n}")
-        patterns = itertools.product((1, -1), repeat=n)
-    elif mode == "monte-carlo":
-        rng = np.random.default_rng(seed)
-        patterns = ([int(s) for s in rng.choice((1, -1), size=n)]
-                    for _ in range(config.mc_samples))
-    else:
-        raise ModeError(f"unknown mode {mode!r}")
-    if isinstance(functional, NormFunctional) and functional.kind in ("hoelder", "sup"):
-        # one pass of the functional over the cloud values of a chunk of
-        # patterns, the members evaluated once for the whole chunk
-        base = SignedSum(members, [1] * n)
-        points = functional.points if functional.points is not None \
-            else default_point_cloud(base, domain)
-        functional = replace(functional, points=points)
-        step = max(1, _CLOUD_VALUES // max(1, len(points)))
-        vals = []
-        while chunk := list(itertools.islice(patterns, step)):
-            S = np.array(chunk).T
-            vals.extend(functional(lambda X: base(X, S), domain, config).tolist())
-    else:
-        vals = [functional(SignedSum(members, signs), domain, config)
-                for signs in patterns]
-    stderr = None
-    if mode == "monte-carlo":
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
-            if len(vals) > 1 else 0.0
-    return RademacherEstimate(float(np.mean(vals)), stderr, mode, len(vals))
+    if not (isinstance(functional, NormFunctional)
+            and functional.kind in ("hoelder", "sup")):
+        raise ScanError("a Rademacher average takes a point-cloud functional, "
+                        "hoelder or sup")
+    samples = min(config.mc_samples, max(4, 20000 // n))
+    rng = np.random.default_rng(seed)
+    base = SignedSum(members, [1] * n)
+    points = functional.points if functional.points is not None \
+        else default_point_cloud(base, domain)
+    functional = replace(functional, points=points)
+    step = max(1, _CLOUD_VALUES // max(1, len(points)))
+    vals = []
+    for start in range(0, samples, step):
+        S = np.column_stack([rng.choice((1, -1), size=n)
+                             for _ in range(min(step, samples - start))])
+        vals.extend(functional(lambda X: base(X, S), domain, config).tolist())
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
+        if len(vals) > 1 else 0.0
+    return RademacherEstimate(float(np.mean(vals)), stderr, len(vals))
 
 
 def seq_l2_norm(members: Sequence, functional: NormFunctional,
@@ -147,14 +134,6 @@ def _check_deltas(deltas: List[Fraction]) -> None:
         raise ScanError("deltas must be strictly decreasing")
 
 
-def _sign_config(n: int, config: QuadratureConfig) -> QuadratureConfig:
-    """config with mc_samples capped so that a scan's total functional
-    evaluations stay bounded for large families."""
-    if n * config.mc_samples <= 20000:
-        return config
-    return replace(config, mc_samples=max(4, 20000 // n))
-
-
 def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
          deltas: Sequence, domain: Optional[DomainSpec] = None,
          seed: Optional[int] = None,
@@ -165,7 +144,11 @@ def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
     (sum ||f_i||_F^2)^(1/2) / E||sum eps_i f_i||_E.  Only the averaged side
     sees signed sums, and only the sequence side bare members;
     recipe_functionals gives the recipe's own E and F.  The lp and indicator
-    ratios are closed forms.  The point-cloud functionals (hoelder, sup) are
+    ratios are closed forms.  They and the unbounded smooth family count
+    their members by 1/delta, so they take deltas 1/m only (ScanError
+    otherwise); tent and bounded smooth scans take any delta.  The averaged
+    side of a tent or smooth scan is rademacher_norm's Monte Carlo average
+    of a point-cloud functional, hoelder or sup.  These functionals are
     lower bounds, so a ratio errs low where they sit in its numerator and
     high where they sit in its denominator: the tent cotype ratio puts an
     average of hoelder_norm's certified lower bounds under an exact
@@ -194,7 +177,9 @@ def scan(recipe, E_functional: NormFunctional, F_functional: NormFunctional,
     The fitted slope estimates recipe.predicted_exponent; the log axis is n
     for sequence-space recipes and 1/delta otherwise.  One sign stream,
     seeded once from seed, runs through every delta in order, so the signs
-    drawn at a delta depend on the deltas before it.
+    drawn at a delta depend on the deltas before it.  At a family of n
+    members the average draws min(config.mc_samples, max(4, 20000 // n))
+    patterns (rademacher_norm).
     """
     if recipe.predicted_exponent <= 0:
         raise ScanError("scan requires a strictly positive predicted exponent")
@@ -220,10 +205,18 @@ def _sides(recipe, e_side, f_side):
     return (f_side, e_side) if recipe.mode == "type2" else (e_side, f_side)
 
 
+def _reciprocal(dl: Fraction) -> int:
+    """1/dl, the member count (per axis) of a family sized by 1/delta;
+    refused with ScanError unless it is an integer."""
+    if dl.numerator != 1:
+        raise ScanError(f"this construction needs deltas of the form 1/m, not {dl}")
+    return dl.denominator
+
+
 def _unit_vectors_at(recipe, dl, rad_fun, seq_fun, domain, rng,
                      config) -> Tuple[int, float, float]:
     r, _ = _sides(recipe, float(recipe.params["p"]), float(recipe.params["q"]))
-    n = round(1 / dl)
+    n = _reciprocal(dl)
     # |sum eps_i e_i|_r is sign-independent, and each e_i has norm 1 in any lp
     return n, float(np.linalg.norm(np.ones(n), r)), math.sqrt(n)
 
@@ -232,7 +225,7 @@ def _indicators_at(recipe, dl, rad_fun, seq_fun, domain, rng,
                    config) -> Tuple[int, float, float]:
     _, r = _sides(recipe, float(recipe.params["p"]), float(recipe.params["q"]))
     d = int(recipe.params["d"])
-    n_grid = round(1 / dl)
+    n_grid = _reciprocal(dl)
     m = n_grid ** d  # cells of the partition of the unit cube
     cell_vol = n_grid ** (-d)
     # |sum eps_i 1_{A_i}| is identically 1 on the cube for every pattern
@@ -240,11 +233,10 @@ def _indicators_at(recipe, dl, rad_fun, seq_fun, domain, rng,
 
 
 def _tent_cloud(centers: np.ndarray, width: float, alpha: float,
-                domain: Optional[DomainSpec] = None) -> np.ndarray:
+                domain: DomainSpec) -> np.ndarray:
     """Centers plus one in-support witness per bump at distance r =
     width^(1/alpha): the center stepped by r along the first of +x0, -x0,
-    +x1, -x1, ... whose endpoint lies in the open domain (by default the
-    unit cube)."""
+    +x1, -x1, ... whose endpoint lies in the open domain."""
     r = width ** (1.0 / alpha)
     witness = centers.copy()
     todo = np.arange(len(centers))
@@ -261,10 +253,9 @@ def _tent_cloud(centers: np.ndarray, width: float, alpha: float,
     return np.vstack([centers, witness])
 
 
-def _inside(points: np.ndarray, domain: Optional[DomainSpec]) -> np.ndarray:
-    """Which points lie in the open unit cube (domain None or a cube) or in
-    the open ball."""
-    if domain is None or domain.kind == "unit-cube":
+def _inside(points: np.ndarray, domain: DomainSpec) -> np.ndarray:
+    """Which points lie in the open unit cube or in the open ball."""
+    if domain.kind == "unit-cube":
         return np.all((points > 0.0) & (points < 1.0), axis=1)
     if domain.kind == "euclidean-ball":
         return np.einsum("ij,ij->i", points, points) < float(domain.radius) ** 2
@@ -295,7 +286,7 @@ def _tents_at(recipe, dl, rad_fun, seq_fun, domain, rng,
     seq = _root_sum_of_squares(
         _two_point_norms(seq_fun, members[0], cloud[:n], cloud[n:]).tolist())
     rad = rademacher_norm(members, replace(rad_fun, points=cloud), domain,
-                          "monte-carlo", _sign_config(n, config), seed=rng).value
+                          config, seed=rng).value
     return n, rad, seq
 
 
@@ -322,7 +313,7 @@ def _smooth_at(recipe, dl, rad_fun, seq_fun, domain, rng,
     d = int(recipe.params["d"])
     if recipe.params.get("unbounded"):
         # fixed-size bumps marching along the first axis; n grows with 1/delta
-        n = round(1 / dl)
+        n = _reciprocal(dl)
         centers = np.zeros((n, d))
         centers[:, 0] = 3.0 * np.arange(n)
         members = [SmoothBumpMember(d, c, 1.0) for c in centers]
@@ -337,8 +328,7 @@ def _smooth_at(recipe, dl, rad_fun, seq_fun, domain, rng,
         # domain; evaluate the norms where the bumps actually sit
         domain = fam.domain
     seq = seq_l2_norm(members, seq_fun, domain, config)
-    rad = rademacher_norm(members, rad_fun, domain, "monte-carlo",
-                          _sign_config(n, config), seed=rng).value
+    rad = rademacher_norm(members, rad_fun, domain, config, seed=rng).value
     return n, rad, seq
 
 

@@ -294,7 +294,7 @@ class TestHoelderPruning:
         # the cloud and signed sum of the 3-D tent scan at delta = 1/8
         from rkhs_sandwich.rademacher import _tent_cloud
         fam = tent_family(cube(3), Fraction(1, 24), 1)
-        cloud = _tent_cloud(fam.centers, 1 / 24, 1.0)
+        cloud = _tent_cloud(fam.centers, 1 / 24, 1.0, cube(3))
         signs = np.random.default_rng(7).choice((1, -1), size=fam.n)
         h = fam.signed_sum([int(s) for s in signs])
         assert hoelder_norm(h, 1.0, cloud) == _dense_hoelder(h, 1.0, cloud)

@@ -17,9 +17,8 @@ from rkhs_sandwich import (NormFunctional, QuadratureConfig, SignedSum, TentMemb
                            tent_family, whole_space, xr)
 from rkhs_sandwich import norms, rademacher
 from rkhs_sandwich.bumps import IndicatorMember
-from rkhs_sandwich.rademacher import (DomainTooSmallError, ModeError,
-                                      RademacherEstimate, ScanError, _tent_cloud,
-                                      recipe_functionals)
+from rkhs_sandwich.rademacher import (DomainTooSmallError, RademacherEstimate,
+                                      ScanError, _tent_cloud, recipe_functionals)
 
 FAST = QuadratureConfig(tolerance=1e-4)
 
@@ -45,41 +44,54 @@ class _Recording:
 
 class TestRademacherNorm:
     def test_single_member(self):
+        # |eps f| = |f| for either sign
         fam = smooth_family(1, 0.25)
-        fn = NormFunctional("lp-of-derivative", alpha=(0,), p=2.0)
+        fn = NormFunctional("sup")
         est = rademacher_norm(fam.members[:1], fn, fam.domain, config=FAST)
-        assert est.patterns == 2
-        assert est.value == pytest.approx(fn(fam.members[0], fam.domain, FAST))
+        assert est == RademacherEstimate(fn(fam.members[0], fam.domain, FAST), 0.0, 64)
 
     def test_indicator_partition_is_one(self):
+        # each point of the cube lies in exactly one half-open cell
         members = _indicator_partition(2, 2)
-        fn = NormFunctional("lp-of-derivative", alpha=(0, 0), p=3.0)
-        est = rademacher_norm(members, fn, cube(2), config=FAST)
-        assert est.value == pytest.approx(1.0, rel=1e-6)
+        est = rademacher_norm(members, NormFunctional("sup"), cube(2), config=FAST)
+        assert (est.value, est.stderr) == (1.0, 0.0)
 
     def test_sign_independence_for_disjoint_supports(self):
         fam = smooth_family(1, 0.125)
-        fn = NormFunctional("lp-of-derivative", alpha=(0,), p=2.0)
+        fn = NormFunctional("sup")
         est = rademacher_norm(fam.members, fn, fam.domain, config=FAST)
         single = fn(fam.signed_sum([1] * fam.n), fam.domain, FAST)
-        assert est.value == pytest.approx(single, rel=1e-12)
+        assert (est.value, est.stderr) == (single, 0.0)
 
-    def test_exhaustive_mode_cap(self):
-        members = _indicator_partition(1, 21)
-        fn = NormFunctional("lp-of-derivative", alpha=(0,), p=2.0)
-        for mode, message in (("exhaustive", "n <= 20"), ("bogus", "unknown mode")):
-            with pytest.raises(ModeError, match=message):
-                rademacher_norm(members, fn, cube(1), mode=mode, config=FAST)
+    @pytest.mark.parametrize("fn", [
+        NormFunctional("lp-of-derivative", alpha=(0,), p=2.0),
+        NormFunctional("slobodeckij", theta=0.5, p=2.0),
+        _Recording(),
+    ])
+    def test_other_functionals_are_refused(self, fn):
+        fam = smooth_family(1, 0.25)
+        with pytest.raises(ScanError, match="point-cloud functional"):
+            rademacher_norm(fam.members, fn, fam.domain, config=FAST)
+
+    @pytest.mark.parametrize("n,mc_samples,patterns", [
+        (30000, 1, 1), (15000, 2, 2), (7000, 3, 3),
+        (5376, 8, 4), (704, 64, 28), (80, 64, 64),
+    ])
+    def test_sample_count(self, n, mc_samples, patterns):
+        # min(mc_samples, max(4, 20000 // n)): about 20000 member-pattern
+        # terms at most, but never more patterns than asked for
+        members = [TentMember(np.array([0.5]), 0.25, 1.0)] * n
+        fn = NormFunctional("sup", points=np.array([[0.5]]))
+        est = rademacher_norm(members, fn, cube(1),
+                              QuadratureConfig(mc_samples=mc_samples), seed=0)
+        assert est.patterns == patterns
 
     def test_monte_carlo_reproducible(self):
         fam = smooth_family(1, 0.125)
         fn = NormFunctional("sup")
-        a = rademacher_norm(fam.members, fn, fam.domain, mode="monte-carlo",
-                            config=FAST, seed=11)
-        b = rademacher_norm(fam.members, fn, fam.domain, mode="monte-carlo",
-                            config=FAST, seed=11)
-        assert a.value == b.value and a.stderr == b.stderr
-        assert a.mode == "monte-carlo"
+        a = rademacher_norm(fam.members, fn, fam.domain, config=FAST, seed=11)
+        b = rademacher_norm(fam.members, fn, fam.domain, config=FAST, seed=11)
+        assert a == b
 
 
 class TestSharedMemberMatrix:
@@ -115,30 +127,36 @@ class TestSharedMemberMatrix:
             (tents, NormFunctional("sup")),  # the default cloud of each pattern
         ]
         for members, fn in cases:
-            est = rademacher_norm(members, fn, dom, "monte-carlo", config, seed=seed)
+            est = rademacher_norm(members, fn, dom, config, seed=seed)
             assert (est.value, est.stderr) == \
                 self._fresh_average(members, fn, dom, config, seed), fn.kind
 
-    def test_exhaustive_mode_matches_the_per_pattern_loop(self, monkeypatch):
-        # n = 12: 4096 patterns, in chunks of 100 patterns per functional
-        # call; the oracle measures each pattern's naive sum, every member at
-        # every point added in member order from 0, on its own
+    def test_chunks_match_the_exhaustive_oracle(self, monkeypatch):
+        # n = 8: the oracle measures each of the 256 patterns on its own
+        # SignedSum; 300 drawn patterns, in chunks of 100 per functional
+        # call, take the oracle's values at the patterns drawn.  The tents
+        # overlap, so both functionals depend on the signs
         rng = np.random.default_rng(12)
         tents = [TentMember(c, w, a) for c, w, a in zip(
-            rng.uniform(0, 1, size=(12, 2)), rng.uniform(0.1, 0.3, 12),
-            rng.uniform(0.4, 1.0, 12))]
+            rng.uniform(0, 1, size=(8, 2)), rng.uniform(0.3, 0.6, 8),
+            rng.uniform(0.8, 1.0, 8))]
         points = np.vstack([rng.uniform(0, 1, size=(18, 2))] +
                            [t.center[None, :] for t in tents])
         monkeypatch.setattr(rademacher, "_CLOUD_VALUES", 100 * len(points))
-        def naive(signs):
-            return lambda X: sum(s * t(X) for s, t in zip(signs, tents))
+        config = QuadratureConfig(tolerance=1e-4, mc_samples=300)
         for fn in (NormFunctional("hoelder", holder_exponent=0.7, points=points),
                    NormFunctional("sup", points=points)):
-            loop = [fn(naive(signs), cube(2), FAST)
-                    for signs in itertools.product((1, -1), repeat=12)]
-            assert rademacher_norm(tents, fn, cube(2), config=FAST) == \
-                RademacherEstimate(float(np.mean(loop)), None, "exhaustive", 4096), \
-                fn.kind
+            oracle = {signs: fn(SignedSum(tents, signs), cube(2), FAST)
+                      for signs in itertools.product((1, -1), repeat=8)}
+            draws = np.random.default_rng(5)
+            vals = [oracle[tuple(int(s) for s in draws.choice((1, -1), size=8))]
+                    for _ in range(300)]
+            est = rademacher_norm(tents, fn, cube(2), config, seed=5)
+            assert est == RademacherEstimate(
+                float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(300)),
+                300), fn.kind
+            exact = float(np.mean(list(oracle.values())))
+            assert abs(est.value - exact) < 4 * est.stderr, fn.kind
 
     def test_one_hoelder_pass_per_average(self, monkeypatch):
         # one SignedSum call evaluates the members once for all the drawn
@@ -159,7 +177,7 @@ class TestSharedMemberMatrix:
         monkeypatch.setattr(SignedSum, "_matrix", lambda self, X: matrices.append(
             len(X)) or matrix(self, X))
         fn = NormFunctional("hoelder", holder_exponent=0.5, points=cloud)
-        est = rademacher_norm(fam.members, fn, cube(2), "monte-carlo",
+        est = rademacher_norm(fam.members, fn, cube(2),
                               QuadratureConfig(mc_samples=8), seed=3)
         assert est.patterns == 8 and est.value == 1.0
         assert calls == [len(cloud)]
@@ -185,7 +203,6 @@ class TestTentCloud:
         width, a = float(delta) / 3, float(alpha)
         want = self._x0_rule(fam.centers, width ** (1 / a))
         assert np.array_equal(_tent_cloud(fam.centers, width, a, dom), want)
-        assert np.array_equal(_tent_cloud(fam.centers, width, a), want)
 
     def test_witness_takes_the_first_axis_step_that_stays_inside(self):
         # (+-0.2, 0.99) and (0, 1.19) leave the unit disk, (0, 0.79) does not
@@ -238,7 +255,7 @@ class TestTentSequenceSide:
         recipe = SimpleNamespace(params={"alpha": xr(alpha)})
         # the averaged side is tested elsewhere; here it only has to return
         monkeypatch.setattr(rademacher, "rademacher_norm",
-                            lambda *args, **kwargs: RademacherEstimate(1.0, None, "", 0))
+                            lambda *args, **kwargs: RademacherEstimate(1.0, 0.0, 0))
         for fun in self.FUNCTIONALS:
             want = [replace(fun, points=cloud[[i, n + i]])(m, dom, FAST)
                     for i, m in enumerate(members)]
@@ -331,6 +348,35 @@ class TestScan:
         with pytest.raises(ScanError):
             scan(recipe, None, None, [Fraction(1, 8), Fraction(1, 4)])
 
+    def test_closed_forms_take_deltas_one_over_m(self):
+        # the lp, indicator and unbounded smooth families have 1/delta
+        # members (per axis), which only a delta 1/m gives
+        plane, square = whole_space(2), cube(2)
+        sup = NormFunctional("sup")
+        config = QuadratureConfig(tolerance=1e-4, mc_samples=4)
+        cases = [
+            (decide(sequence_lp(3), sequence_lp(4)).obstruction, None, None,
+             [Fraction(1, 2), Fraction(9, 20)]),
+            (decide(lebesgue_lp(4, square), lebesgue_lp(3, square)).obstruction,
+             None, square, [Fraction(1, 2), Fraction(2, 5), Fraction(1, 3)]),
+            (decide_bounded_target(slobodeckij(2, 2, plane), "sup").obstruction,
+             sup, plane, [Fraction(1, 4), Fraction(2, 9)]),
+        ]
+        for recipe, fn, dom, deltas in cases:
+            with pytest.raises(ScanError, match="1/m, not"):
+                scan(recipe, fn, fn, deltas, domain=dom, seed=3, config=config)
+        # tent and bounded smooth families are packed at any delta
+        recipe = decide(slobodeckij(Fraction(3, 2), 1, square),
+                        slobodeckij(Fraction(3, 4), 1, square)).obstruction
+        assert scan(recipe, sup, sup, [Fraction(1, 5), Fraction(2, 15)],
+                    domain=square, seed=3, config=config).points == \
+            ((0.2, 4, 0.5), (0.13333333333333333, 7, 0.3779644730092272))
+        recipe = decide_bounded_target(holder(Fraction(1, 3), cube(1)), "sup").obstruction
+        assert scan(recipe, NormFunctional("hoelder", holder_exponent=1 / 3), sup,
+                    [Fraction(9, 20), Fraction(2, 5)], domain=cube(1), seed=3,
+                    config=config).points == \
+            ((0.45, 9, 0.44999999999999996), (0.4, 13, 0.48074017006186526))
+
     def test_smooth_bump_scan_runs(self):
         # recorded points: one seeded sign stream runs through every delta,
         # so any drift shows here.  The type2 case is a p1 = 1 source on the
@@ -354,20 +400,30 @@ class TestScan:
 
     def test_each_side_sees_one_kind_of_function(self):
         # type-2 averages F over signed sums and takes E's sequence norm on
-        # bare members; cotype-2 does the reverse
+        # bare members; cotype-2 does the reverse.  A recorder on the
+        # sequence side sees bare members only; the averaged side takes only
+        # a point-cloud NormFunctional and refuses the recorder
         square, plane = cube(2), whole_space(2)
         cases = [
-            (decide(slobodeckij(Fraction(3, 2), 1, square),
-                    slobodeckij(Fraction(3, 4), 1, square)).obstruction, square,
-             ({"SmoothBumpMember"}, {"SignedSum"})),
-            (decide_bounded_target(slobodeckij(2, 2, plane), "sup").obstruction,
-             plane, ({"SignedSum"}, {"SmoothBumpMember"})),
+            decide(slobodeckij(Fraction(3, 2), 1, square),
+                   slobodeckij(Fraction(3, 4), 1, square)).obstruction,
+            decide_bounded_target(slobodeckij(2, 2, plane), "sup").obstruction,
         ]
-        for recipe, dom, expected in cases:
-            E, F = _Recording(), _Recording()
-            scan(recipe, E, F, [Fraction(1, 4), Fraction(1, 8)], domain=dom,
-                 seed=3, config=QuadratureConfig(tolerance=1e-4, mc_samples=4))
-            assert (E.kinds, F.kinds) == expected, recipe.mode
+        sup = NormFunctional("sup")
+        config = QuadratureConfig(tolerance=1e-4, mc_samples=4)
+        deltas = [Fraction(1, 4), Fraction(1, 8)]
+        for recipe, dom in zip(cases, (square, plane)):
+            def sides(seq_fun, rad_fun):
+                """(E, F) with seq_fun on the sequence side of the ratio."""
+                return (seq_fun, rad_fun) if recipe.mode == "type2" \
+                    else (rad_fun, seq_fun)
+            seq, averaged = _Recording(), _Recording()
+            scan(recipe, *sides(seq, sup), deltas, domain=dom, seed=3, config=config)
+            assert seq.kinds == {"SmoothBumpMember"}, recipe.mode
+            with pytest.raises(ScanError, match="point-cloud functional"):
+                scan(recipe, *sides(sup, averaged), deltas, domain=dom, seed=3,
+                     config=config)
+            assert averaged.kinds == set(), recipe.mode
 
     def test_tent_scan_points(self):
         # recorded points: the tent family is packed from the domain at each
@@ -416,7 +472,7 @@ class TestScan:
         rng = np.random.default_rng(2)
         for dl in deltas:
             fam = tent_family(dom, dl / 3, 1)
-            cloud = _tent_cloud(fam.centers, float(dl) / 3, 1.0)
+            cloud = _tent_cloud(fam.centers, float(dl) / 3, 1.0, dom)
             for _ in range(6):
                 signs = [int(e) for e in rng.choice((1, -1), size=fam.n)]
                 assert hoelder_norm(SignedSum(fam.members, signs), 1.0, cloud) == 1.0

@@ -270,9 +270,9 @@ def test_decide_exit_contract(argv):
 
 _DELTA_LISTS = st.one_of(
     # strictly decreasing, as scan requires
-    st.sets(st.sampled_from(["1/2", "1/4", "1/8"]), min_size=2).map(
+    st.sets(st.sampled_from(["1/2", "9/20", "2/5", "1/4", "1/8"]), min_size=2).map(
         lambda deltas: ",".join(sorted(deltas, key=Fraction, reverse=True))),
-    st.lists(st.sampled_from(["1/2", "1/4", "1/8"]), min_size=1,
+    st.lists(st.sampled_from(["1/2", "9/20", "2/5", "1/4", "1/8"]), min_size=1,
              max_size=3).map(",".join),
     st.sampled_from(["", "0", "1", "3/4", "1/0", "x", "-1/4", "1/4,,1/8",
                      "1/4,-1/8", "0.25,0.125", "inf", "1/4,inf"]))
@@ -476,6 +476,20 @@ class TestScanCommand:
         assert code == 64
         assert captured.out == ""
         assert "would have 513^3 cells" in captured.err
+
+    @pytest.mark.parametrize("argv,delta", [
+        (["--from", "lp:3", "--to", "lp:4", "--deltas", "1/2,9/20"], "9/20"),
+        (["--from", "lebesgue:4", "--to", "lebesgue:3", "--domain", "cube:2",
+          "--deltas", "1/2,2/5,1/3"], "2/5"),
+    ])
+    def test_closed_form_scan_refuses_a_delta_not_one_over_m(self, capsys, argv,
+                                                             delta):
+        code = main(["scan"] + argv)
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err == ("error: this construction needs deltas of the "
+                                f"form 1/m, not {delta}\n")
 
     def test_scan_refuses_feasible_pair(self, capsys):
         code = main(["scan", "--from", "lp:1", "--to", "lp:inf",
