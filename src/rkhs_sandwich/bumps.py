@@ -16,7 +16,6 @@ negative base.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,13 +31,9 @@ Poly = Dict[Tuple[int, ...], Fraction]  # exponent tuple -> coefficient
 # below this w = 1-|x|^2 the bump underflows anything the prefactor can
 # blow up to; treat the product as exactly 0
 _W_FLOOR = 0.004
-# relative widening of a support box in SignedSum's cell grid, far above the
-# rounding of box faces and of tent distances
+# relative widening of a support box's ball in SignedSum's point search, far
+# above the rounding of box faces and of tent distances
 _BOX_PAD = 1e-9
-# the axes SignedSum's cell grid buckets the points on (a box touches 2 or
-# 3 cells on each), and its most cells per axis
-_GRID_AXES = 3
-_CELLS_PER_AXIS = 1 << 20
 
 
 def _multi_index(alpha: Sequence, dimension: int) -> Tuple[int, ...]:
@@ -279,7 +274,8 @@ class SignedSum:
     w <= _W_FLOOR, IndicatorMember outside its cell.  A call evaluates the
     members into a sparse member-value matrix: its rows are the points, its
     columns the members in member order, and its entries each member's
-    values at its candidate points (_candidates), with exact zeros dropped.
+    values at the finite points in a ball around its support_box, found on
+    a k-d tree (_candidates), with exact zeros dropped.
     The members that share a _batch key (tents of one delta and alpha;
     smooth bumps of one dimension, delta and derivative) are evaluated in
     one _values call with their params stacked per candidate, by the
@@ -288,7 +284,8 @@ class SignedSum:
     bincount adds each bin's entries in member order from 0.0, and a
     partial sum that starts at 0.0 is never -0.0, so a dropped zero would
     have left it unchanged: the values equal the sum over all members at
-    all points bit for bit, np.signbit included.
+    all points bit for bit, np.signbit included, except at a point with a
+    NaN coordinate, where a tent is NaN and the sum reads 0.0.
     """
 
     def __init__(self, members: Sequence, signs: Sequence[int]):
@@ -342,53 +339,31 @@ class SignedSum:
 
 
 def _candidates(boxes, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, cols): for each box, the points of X in the cells it touches
-    of a uniform cell grid on the first _GRID_AXES axes, as point and box
-    indices, box by box (fixed-radius near-neighbour search; Bentley,
-    Stanat & Williams, Inf. Proc. Lett. 6, 1977).
+    """(rows, cols): for each box, the finite points of X within its padded
+    ball, as point and box indices, box by box and in point order within a
+    box (fixed-radius near-neighbour search on a k-d tree; Friedman, Bentley
+    & Finkel, ACM TOMS 3, 1977).
 
-    Each box is widened by _BOX_PAD against rounding.  The cell side on
-    each axis is the widest box (or 1/_CELLS_PER_AXIS of the boxes' span,
-    if that is more, so that the cell keys fit in int64), so each box
-    touches at most 2 cells per axis, 3 where its faces round onto cell
-    edges."""
+    A box's ball is centred on its midpoint, of radius half its diagonal
+    plus _BOX_PAD times its largest |lo| + |hi|, so it holds the whole box
+    with room for the rounding of box faces and distances.  The tree takes
+    only finite points: a point with an infinite coordinate is outside
+    every box, and one with a NaN coordinate is skipped, so a SignedSum
+    reads 0.0 there, where a tent reads NaN."""
     if not boxes:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    from scipy.spatial import cKDTree
+    finite = np.flatnonzero(np.isfinite(X).all(axis=1))
     m = len(boxes)
-    lo = np.array([b[0] for b in boxes], dtype=float).reshape(m, -1)[:, :_GRID_AXES]
-    hi = np.array([b[1] for b in boxes], dtype=float).reshape(m, -1)[:, :_GRID_AXES]
-    pad = _BOX_PAD * (np.abs(lo) + np.abs(hi))
-    lo, hi = lo - pad, hi + pad
-    origin = lo.min(axis=0)
-    side = np.maximum((hi - lo).max(axis=0),
-                      (hi.max(axis=0) - origin) / _CELLS_PER_AXIS)
-    side = np.where(side > 0.0, side, 1.0)
-
-    def cells(Z: np.ndarray) -> np.ndarray:
-        return np.floor((Z[:, :len(side)] - origin) / side)
-
-    # the cells of lo and hi bound those of every point in the box, as
-    # (x - origin) / side is monotone in x
-    first = cells(lo).astype(np.int64)
-    last = cells(hi).astype(np.int64)
-    shape = last.max(axis=0) + 1
-    stride = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
-    reach = last - first + 1
-    steps = np.array(list(itertools.product(range(int(reach.max())),
-                                            repeat=lo.shape[1])))
-    # each box's cell keys, box by box, and the box they belong to
-    owner, step = np.nonzero(np.all(steps < reach[:, None], axis=2))
-    box_keys = (first @ stride)[owner] + (steps @ stride)[step]
-    at = np.clip(cells(X), -1.0, shape)  # keeps the cast finite
-    inside = np.all((at >= 0.0) & (at < shape), axis=1)
-    keys = np.where(inside, at.astype(np.int64) @ stride, -1)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    start = np.searchsorted(sorted_keys, box_keys, side="left")
-    count = np.searchsorted(sorted_keys, box_keys, side="right") - start
-    # box cell e's k-th point is order[start[e] + k]
-    shift = np.repeat(start - (np.cumsum(count) - count), count)
-    return order[np.arange(len(shift)) + shift], np.repeat(owner, count)
+    lo = np.array([b[0] for b in boxes], dtype=float).reshape(m, -1)
+    hi = np.array([b[1] for b in boxes], dtype=float).reshape(m, -1)
+    reach = 0.5 * np.linalg.norm(hi - lo, axis=1) \
+        + _BOX_PAD * np.max(np.abs(lo) + np.abs(hi), axis=1)
+    pairs = cKDTree(0.5 * (lo + hi)).sparse_distance_matrix(
+        cKDTree(X[finite]), reach.max(), output_type="ndarray")
+    pairs = pairs[pairs["v"] <= reach[pairs["i"]]]
+    order = np.lexsort((pairs["j"], pairs["i"]))
+    return finite[pairs["j"][order]], pairs["i"][order]
 
 
 def _checked_signs(signs, n: int, ndim: int) -> np.ndarray:

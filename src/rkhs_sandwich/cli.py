@@ -246,14 +246,11 @@ def cmd_packing(args) -> int:
 
 
 def cmd_irkbs(args) -> int:
-    if args.series == "cos":
-        spec = cosine_series()
-    else:
-        coeffs = tuple(_parse_fraction(c) for c in args.series.split(","))
-        spec = SeriesSpec(coeffs)
-    rho = None if args.measure_class == "all" or args.domain_radius in (None, "inf") \
+    rho = None if args.domain_radius in (None, "inf") \
         else _parse_fraction(args.domain_radius)
-    spec = SeriesSpec(spec.coefficients, rho)
+    coeffs = cosine_series().coefficients if args.series == "cos" \
+        else tuple(_parse_fraction(c) for c in args.series.split(","))
+    spec = SeriesSpec(coeffs, rho)
     decomposition = check_applicability(
         spec, "all-finite-signed" if args.measure_class in (None, "all")
         else "user-restricted")

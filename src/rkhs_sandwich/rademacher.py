@@ -68,10 +68,7 @@ def rademacher_norm(members: Sequence, functional: NormFunctional,
     n = len(members)
     if n == 0:
         raise ValueError("empty family")
-    if not (isinstance(functional, NormFunctional)
-            and functional.kind in ("hoelder", "sup")):
-        raise ScanError("a Rademacher average takes a point-cloud functional, "
-                        "hoelder or sup")
+    _check_point_cloud(functional)
     samples = min(config.mc_samples, max(4, 20000 // n))
     rng = np.random.default_rng(seed)
     base = SignedSum(members, [1] * n)
@@ -87,6 +84,15 @@ def rademacher_norm(members: Sequence, functional: NormFunctional,
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
         if len(vals) > 1 else 0.0
     return RademacherEstimate(float(np.mean(vals)), stderr, len(vals))
+
+
+def _check_point_cloud(functional) -> None:
+    """Refuse with ScanError an averaged side that is not a point-cloud
+    NormFunctional, hoelder or sup."""
+    if not (isinstance(functional, NormFunctional)
+            and functional.kind in ("hoelder", "sup")):
+        raise ScanError("a Rademacher average takes a point-cloud functional, "
+                        "hoelder or sup")
 
 
 def seq_l2_norm(members: Sequence, functional: NormFunctional,
@@ -272,6 +278,7 @@ def _tents_at(recipe, dl, rad_fun, seq_fun, domain, rng,
     if not sequence_ok:
         raise ScanError("a tent scan takes sup or hoelder(beta), 0 < beta <= 1, "
                         "as its sequence side")
+    _check_point_cloud(rad_fun)
     alpha = recipe.params["alpha"].as_fraction()
     # tents of height dl/3 on centers packed dl apart in d^alpha
     fam = tent_family(domain, dl / 3, alpha)
@@ -310,6 +317,9 @@ def _two_point_norms(fun: NormFunctional, tent, centers: np.ndarray,
 
 def _smooth_at(recipe, dl, rad_fun, seq_fun, domain, rng,
                config) -> Tuple[int, float, float]:
+    if not callable(seq_fun):
+        raise ScanError("a smooth-bump scan takes a functional as its "
+                        "sequence side")
     d = int(recipe.params["d"])
     if recipe.params.get("unbounded"):
         # fixed-size bumps marching along the first axis; n grows with 1/delta

@@ -65,9 +65,6 @@ class CoherentSet:
         """|A|_1: the largest total order in the set."""
         return xr(max(sum(a) for a in self.elements))
 
-    def __contains__(self, idx) -> bool:
-        return tuple(idx) in set(self.elements)
-
 
 def coherent_closure(indices, d: int) -> CoherentSet:
     """Smallest coherent (downward-closed) superset of the given multi-indices."""

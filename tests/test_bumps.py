@@ -10,8 +10,8 @@ import pytest
 from rkhs_sandwich import (BumpFamily, SignedSum, SmoothBump, TentMember,
                            ball, cube, smooth_family, tent_family)
 from rkhs_sandwich import greedy_packing
-from rkhs_sandwich.bumps import (IndicatorMember, SmoothBumpMember, _poly_eval,
-                                 reference_bump)
+from rkhs_sandwich.bumps import (_BOX_PAD, IndicatorMember, SmoothBumpMember,
+                                 _candidates, _poly_eval, reference_bump)
 
 
 def _indicator_partition(dimension, cells_per_axis):
@@ -291,7 +291,7 @@ class TestSignedSumSlices:
             _assert_bitwise(dh(X), _member_loop(dh, X))
 
     @pytest.mark.parametrize("kind", ["tent", "smooth", "indicator"])
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_overlapping_supports(self, kind, d):
         rng = np.random.default_rng(10 * d + len(kind))
         members = _random_members(kind, d, rng, 12)
@@ -437,12 +437,54 @@ class TestMemberMatrix:
                 fam.signed_sum(bad)
 
 
-class TestCellGrid:
-    """SignedSum finds each member's points on a uniform cell grid; the
-    oracle is the naive sum of every member at every point, compared with
-    == and np.signbit."""
+def _padded_balls(boxes, X):
+    """(rows, cols) by brute force: for each box, the finite points of X
+    within _BOX_PAD of its ball (midpoint, half its diagonal), in point
+    order."""
+    finite = np.flatnonzero(np.isfinite(X).all(axis=1))
+    rows, cols = [], []
+    for b, (lo, hi) in enumerate(boxes):
+        reach = 0.5 * np.linalg.norm(hi - lo) \
+            + _BOX_PAD * np.max(np.abs(lo) + np.abs(hi))
+        dist = np.linalg.norm(X[finite] - 0.5 * (lo + hi), axis=1)
+        rows.append(finite[dist <= reach])
+        cols.append(np.full(len(rows[-1]), b))
+    return np.concatenate(rows), np.concatenate(cols)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+
+class TestCellGrid:
+    """SignedSum finds each member's points on a k-d tree (_candidates):
+    the finite points in a padded ball around the member's support box.
+    The oracles are a brute-force ball search and the naive sum of every
+    member at every point, compared with == and np.signbit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_candidates_are_the_padded_balls(self, d):
+        for seed in range(20):
+            rng = np.random.default_rng(100 * d + seed)
+            m = int(rng.integers(1, 12))
+            # boxes shifted out to 300 on some cases, one of zero width
+            lo = rng.uniform(-1, 1, size=(m, d)) + \
+                (rng.uniform(-300, 300, size=d) if seed % 4 == 0 else 0.0)
+            hi = lo + rng.uniform(0, 0.5, size=(m, d))
+            hi[0] = lo[0]
+            boxes = list(zip(lo, hi))
+            corners = np.array([np.where(c, b_hi, b_lo) for b_lo, b_hi in boxes
+                                for c in itertools.product((0, 1), repeat=d)])
+            X = np.vstack([corners, rng.uniform(lo.min() - 1, hi.max() + 1,
+                                                size=(200, d))])
+            special = [np.inf, -np.inf, np.nan, 1e150, -1e150]
+            hit = rng.choice(len(X), size=20, replace=False)
+            X[hit, rng.integers(0, d, size=20)] = rng.choice(special, size=20)
+            rows, cols = _candidates(boxes, X)
+            want_rows, want_cols = _padded_balls(boxes, X)
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(cols, want_cols)
+            for b, (b_lo, b_hi) in enumerate(boxes):
+                in_box = np.flatnonzero(np.all((X >= b_lo) & (X <= b_hi), axis=1))
+                assert np.isin(in_box, rows[cols == b]).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_points_far_outside_every_box(self, d):
         rng = np.random.default_rng(20 + d)
         members = _random_members("tent", d, rng, 6) + \
@@ -454,6 +496,12 @@ class TestCellGrid:
                        np.where(np.eye(d, dtype=bool), 1e150, 0.5)])
         _assert_bitwise(h(X), _member_loop(h, X))
         assert not h(X[100:]).any()
+        # a point with a NaN coordinate on any axis is skipped: the sum
+        # reads 0.0 where the member loop reads NaN
+        nan_rows = np.where(np.eye(d, dtype=bool), np.nan, 0.5)
+        assert np.isnan(_member_loop(h, nan_rows)).all()
+        assert (h(nan_rows) == 0.0).all()
+        assert not np.signbit(h(nan_rows)).any()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mixed_member_kinds(self, d):
@@ -479,8 +527,8 @@ class TestCellGrid:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_counting_members_see_only_nearby_points(self, d):
-        # a member is called on the points of the cells its box touches:
-        # within one widest box side of the box on each of the first 3 axes
+        # a member is called on the points in its box's padded ball: within
+        # one widest box side of the box on every axis
         rng = np.random.default_rng(40 + d)
         inner = _random_members("tent", d, rng, 10)
         members = [_Counting(m) for m in inner]
@@ -489,9 +537,10 @@ class TestCellGrid:
         _assert_bitwise(h(X), _member_loop(SignedSum(inner, h.signs), X))
         boxes = [m.support_box for m in inner]
         side = max(np.max(hi - lo) for lo, hi in boxes) * (1 + 1e-6)
-        for m, (lo, hi) in zip(members, boxes):
+        in_ball = np.bincount(_padded_balls(boxes, X)[1], minlength=len(boxes))
+        for m, (lo, hi), ball_count in zip(members, boxes, in_ball):
             near = np.all((X > lo - side) & (X < hi + side), axis=1).sum()
-            assert 0 < m.points <= near
+            assert m.points == ball_count <= near
         assert sum(m.points for m in members) < len(X) * len(members) / 2
 
 

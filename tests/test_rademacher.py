@@ -398,6 +398,25 @@ class TestScan:
                           config=QuadratureConfig(tolerance=1e-4, mc_samples=4))
             assert series.points == expected, recipe.mode
 
+    @pytest.mark.parametrize("averaged", [lambda fn, d, c: 1.0, None],
+                             ids=["callable", "none"])
+    def test_tent_scan_refuses_an_averaged_side_off_the_cloud(self, averaged):
+        # refused before the tent cloud is put into the averaged side
+        dom = cube(1)
+        recipe = decide_bounded_target(holder(Fraction(1, 4), dom), "sup").obstruction
+        assert recipe.mode == "cotype2"  # E is the averaged side
+        with pytest.raises(ScanError, match="point-cloud functional"):
+            scan(recipe, averaged, NormFunctional("sup"),
+                 [Fraction(1, 4), Fraction(1, 8)], domain=dom)
+
+    def test_smooth_scan_refuses_a_sequence_side_that_is_not_callable(self):
+        plane = whole_space(2)
+        recipe = decide_bounded_target(slobodeckij(2, 2, plane), "sup").obstruction
+        assert recipe.mode == "cotype2"  # F is the sequence side
+        with pytest.raises(ScanError, match="sequence side"):
+            scan(recipe, NormFunctional("sup"), None,
+                 [Fraction(1, 4), Fraction(1, 8)], domain=plane, config=FAST)
+
     def test_each_side_sees_one_kind_of_function(self):
         # type-2 averages F over signed sums and takes E's sequence norm on
         # bare members; cotype-2 does the reverse.  A recorder on the

@@ -581,6 +581,16 @@ class TestIrkbsCommand:
         assert doc["payload"]["lemma_applicable"] == "conditional"
         assert "cosh" in doc["payload"]["required_integrability"]
 
+    @pytest.mark.parametrize("series", ["cos", "1,-1/2,1/3,-1/4"])
+    def test_measure_class_all_keeps_the_radius(self, capsys, series):
+        # --measure-class all only spells out the default: the reports differ
+        # only in the query that echoes it
+        argv = ["irkbs", "--series", series, "--domain-radius", "1"]
+        spelled, default = (json.loads(_run(capsys, a)[1])
+                            for a in (argv + ["--measure-class", "all"], argv))
+        assert spelled.pop("query") == dict(default.pop("query"), measure_class="all")
+        assert spelled == default
+
     def test_payload_is_the_decomposition_report(self, capsys):
         # the bounded cosine, the whole-space cosine and a coefficient list
         cases = [
