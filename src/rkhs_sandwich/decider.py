@@ -5,7 +5,9 @@ Hilbert space H of functions with E in H in F can exist.  Feasible verdicts
 carry an explicit witness chain through a fractional Hilbert-Sobolev space
 (or l2 / L2); Infeasible verdicts carry the violated exact inequality and a
 recipe for a bump/indicator/unit-vector family whose type- or cotype-ratio
-provably diverges, which the numerical lab can execute.
+provably diverges, which the numerical lab can execute.  Each family has one
+rule; a bounded target is its end t = 0, p2 = inf, reached after the R^d
+check T1.
 """
 
 from __future__ import annotations
@@ -249,7 +251,9 @@ def _packing_exponent(domain: DomainSpec) -> Optional[ExtRational]:
 
 
 def _decide_holder(E: SpaceSpec, F: SpaceSpec) -> Verdict:
-    alpha, beta = E.s, F.s
+    """Hoelder pairs by the packing exponent; a bounded F is beta = 0."""
+    bounded = F.family in BOUNDED_TARGETS
+    alpha, beta = E.s, xr(0) if bounded else F.s
     if alpha < beta:
         raise DecisionError("Hoelder pair requires alpha >= beta")
     k = _packing_exponent(E.domain)
@@ -258,57 +262,80 @@ def _decide_holder(E: SpaceSpec, F: SpaceSpec) -> Verdict:
         return Verdict(UNDETERMINED, rule, reason=_NO_EXPONENT)
     gap2 = 2 * (alpha - beta)
     if gap2 < k:
-        return _tent_infeasible(alpha, beta, k, "packing exponent bound 2(alpha-beta)")
-    if E.domain.kind in ("unit-cube", "euclidean-ball") and gap2 > k:
-        return _decide_smooth_scale(emb.rewrite_identifications(E),
-                                    emb.rewrite_identifications(F))
-    if gap2 == k:
+        return _tent_infeasible(alpha, beta, k, "packing exponent bound 2*alpha" if bounded
+                                else "packing exponent bound 2(alpha-beta)")
+    # a bounded target decides the equality case on the smooth scale
+    if E.domain.kind in ("unit-cube", "euclidean-ball") and (gap2 > k or bounded):
+        return _decide_smooth_scale(E, F)
+    if gap2 == k and not bounded:
         return Verdict(BORDERLINE, rule,
                        reason="2(alpha-beta) equals the packing exponent exactly")
     return Verdict(UNDETERMINED, rule, reason=_NO_SUFFICIENCY)
 
 
 def _decide_smooth_scale(E: SpaceSpec, F: SpaceSpec) -> Verdict:
-    """Shared threshold logic for Slobodeckij / Besov / Triebel-Lizorkin."""
+    """Shared threshold logic for Slobodeckij / Besov / Triebel-Lizorkin; a
+    bounded F is the end t = 0, p2 = inf of the scale."""
+    bounded = F.family in BOUNDED_TARGETS
     slobo_pair = E.family == "slobodeckij" and F.family == "slobodeckij"
     Ec, Fc = emb.rewrite_identifications(E), emb.rewrite_identifications(F)
     d = E.domain.dimension
     s, p1 = Ec.s, Ec.p
-    t, p2 = Fc.s, Fc.p
+    # the int 0 stays the number 0 in a recipe's params
+    t, p2 = (0, INF) if bounded else (Fc.s, Fc.p)
+    if bounded and not s > xr(d) / p1:
+        raise DecisionError("bounded target requires s > d/p for the embedding")
     gap, thr = s - t, deficiency(p1, p2, d)
-    rule = "slobodeckij-threshold" if slobo_pair else "besov-tl-threshold"
+    rule = "c0-threshold" if bounded else \
+        "slobodeckij-threshold" if slobo_pair else "besov-tl-threshold"
     if gap > thr:
+        if not E.domain.bounded and not p1 <= 2 <= p2:
+            return Verdict(UNDETERMINED, rule, reason=(
+                "on R^d the W^u_2 witness embeds only when p1 <= 2 <= p2; "
+                "integrability is open here"))
         closed = not slobo_pair and Ec.family == Fc.family == "triebel-lizorkin"
         interval = _threshold_interval(s, t, p1, p2, d, closed)
         if slobo_pair:  # a Slobodeckij pair keeps its own scale
             return _feasible_smooth(E, F, rule, interval, slobo=True)
-        return _feasible_smooth(Ec, Fc, rule, interval)
-    if t == 0:
+        return _feasible_smooth(E if bounded else Ec, Fc, rule, interval)
+    if t == 0 and not bounded:
         return Verdict(UNDETERMINED, rule,
                        reason="necessity requires t > 0; below-threshold case open at t = 0")
     if gap == thr:
-        return Verdict(BORDERLINE, rule,
-                       reason="smoothness gap equals the deficiency exactly")
+        return Verdict(BORDERLINE, rule, reason=(
+            "smoothness equals the bounded-target threshold exactly" if bounded
+            else "smoothness gap equals the deficiency exactly"))
     rec = _smooth_obstruction(s, t, p1, p2, d, "smooth-scaled-bumps",
-                              "smoothness gap s-t against deficiency")
+                              "bounded-target deficiency" if bounded
+                              else "smoothness gap s-t against deficiency")
     return Verdict(INFEASIBLE, rule, obstruction=rec)
 
 
 def _decide_mixed(E: SpaceSpec, F: SpaceSpec) -> Verdict:
+    """Necessity only; a bounded F is |B|1 = 0, p2 = inf."""
+    bounded = F.family in BOUNDED_TARGETS
     d = E.domain.dimension
-    s, t = E.indices.max_order, F.indices.max_order
-    p1, p2 = E.p, F.p
+    s, p1 = E.indices.max_order, E.p
+    t, p2 = (0, INF) if bounded else (F.indices.max_order, F.p)
+    rule = "c0-threshold" if bounded else "mixed-necessity"
     if s - t < xr(d) / p1 - xr(d) / p2:
+        if bounded:
+            return Verdict(UNDETERMINED, rule,
+                           reason="requires |A|1 >= d/p for the bounded target")
         raise DecisionError(
             "mixed-smoothness pair violates |A|1-|B|1 >= d(1/p1-1/p2); "
             "the embedding itself cannot hold")
     thr = deficiency(p1, p2, d)
-    rule = "mixed-necessity"
-    if s - t < thr:
+    if s - t >= thr:
+        return Verdict(UNDETERMINED, rule, reason=_NECESSARY_ONLY)
+    if bounded:
+        ineq = Inequality(s, thr, ">=", "bounded-target deficiency")
+        rec = ObstructionRecipe(ineq, "smooth-scaled-bumps", xr(d) / 2 - s, "cotype2",
+                                params={"s": s, "p": p1, "d": d})
+    else:
         rec = _smooth_obstruction(s, t, p1, p2, d, "smooth-scaled-bumps",
                                   "mixed order gap |A|1-|B|1 against deficiency")
-        return Verdict(INFEASIBLE, rule, obstruction=rec)
-    return Verdict(UNDETERMINED, rule, reason=_NECESSARY_ONLY)
+    return Verdict(INFEASIBLE, rule, obstruction=rec)
 
 
 def decide(E: SpaceSpec, F: SpaceSpec) -> Verdict:
@@ -346,7 +373,8 @@ def decide(E: SpaceSpec, F: SpaceSpec) -> Verdict:
 
 
 def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
-    """Existence of an RKHS between E and the bounded (sup-norm) functions."""
+    """Existence of an RKHS between E and the bounded (sup-norm) functions:
+    T1 on R^d first, then the rule of E's family at t = 0, p2 = inf."""
     if target not in BOUNDED_TARGETS:
         raise DecisionError(f"unknown bounded target {target!r}")
     dom = E.domain
@@ -363,53 +391,13 @@ def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
         return Verdict(UNDETERMINED, "unbounded-domain",
                        reason=f"no rule for family {E.family} on an unbounded domain")
 
-    # T3: Hoelder source via the packing exponent; below the threshold the
-    # tent-bump family witnesses the cotype failure on any domain with a
-    # known packing exponent, above it the cube/ball case goes through the
-    # Besov rewrite and the threshold rule below
+    F = SpaceSpec(target, dom)
     if E.family == "holder":
-        k = _packing_exponent(dom)
-        if k is None:
-            return Verdict(UNDETERMINED, "holder-packing", reason=_NO_EXPONENT)
-        if 2 * E.s < k:
-            return _tent_infeasible(E.s, xr(0), k, "packing exponent bound 2*alpha")
-        if dom.kind == "finite-metric-set":
-            return Verdict(UNDETERMINED, "holder-packing", reason=_NO_SUFFICIENCY)
-
-    # T4: mixed smoothness, necessity only
-    if E.family == "mixed-sobolev":
-        d = xr(dom.dimension)
-        s = E.indices.max_order
-        if not s >= d / E.p:
-            return Verdict(UNDETERMINED, "c0-threshold",
-                           reason="requires |A|1 >= d/p for the bounded target")
-        thr = deficiency(E.p, INF, dom.dimension)
-        if s < thr:
-            ineq = Inequality(s, thr, ">=", "bounded-target deficiency")
-            rec = ObstructionRecipe(ineq, "smooth-scaled-bumps", d / 2 - s, "cotype2",
-                                    params={"s": s, "p": E.p, "d": dom.dimension})
-            return Verdict(INFEASIBLE, "c0-threshold", obstruction=rec)
-        return Verdict(UNDETERMINED, "c0-threshold", reason=_NECESSARY_ONLY)
-
-    # T2: Besov/TL (and everything that rewrites into them)
+        return _decide_holder(E, F)
     if E.family in _SMOOTH_SCALE:
-        Ec = emb.rewrite_identifications(E)
-        d = xr(dom.dimension)
-        s, p = Ec.s, Ec.p
-        if not s > d / p:
-            raise DecisionError("bounded target requires s > d/p for the embedding")
-        thr = deficiency(p, INF, dom.dimension)
-        rule = "c0-threshold"
-        if s > thr:
-            interval = _threshold_interval(s, 0, p, INF, dom.dimension, closed=False)
-            return _feasible_smooth(E, SpaceSpec(target, dom), rule, interval)
-        if s == thr:
-            return Verdict(BORDERLINE, rule,
-                           reason="smoothness equals the bounded-target threshold exactly")
-        rec = _smooth_obstruction(s, 0, p, INF, dom.dimension,
-                                  "smooth-scaled-bumps", "bounded-target deficiency")
-        return Verdict(INFEASIBLE, rule, obstruction=rec)
-
+        return _decide_smooth_scale(E, F)
+    if E.family == "mixed-sobolev":
+        return _decide_mixed(E, F)
     if E.family == "sequence-lp":
         return _decide_sequence(E, sequence_lp(INF))
 

@@ -1,10 +1,10 @@
 """Three-valued rule engine for continuous embeddings between space descriptors.
 
 The engine answers Holds / Fails / Undetermined.  Fails is only emitted for
-the integer Sobolev equivalence (R6) and for a Besov / Triebel-Lizorkin pair
-below the embedding line s - t >= d/p1 - d/p2, a necessary condition on
-every domain (embedding-line); everything else the rule set cannot settle is
-Undetermined, never Fails.
+the integer Sobolev equivalence (R6), for a Besov / Triebel-Lizorkin pair
+that lowers p on R^d (Rd-integrability) or lies below the embedding line
+s - t >= (d/p1 - d/p2)_+ (embedding-line); everything else the rule set
+cannot settle is Undetermined, never Fails.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .spaces import BOUNDED_TARGETS, DomainError, SpaceSpec, _identified
-from .xrational import INF, ExtRational, xr
+from .xrational import INF, ExtRational, pos_part, xr
 
 HOLDS = "Holds"
 FAILS = "Fails"
 UNDETERMINED = "Undetermined"
 
 _TWO = xr(2)
+_BESOV_TL = ("besov", "triebel-lizorkin")
 
 # every rule id an embedding or a decision can cite, with the mathematical
 # statement it stands for; a compound tag such as "R11+R3+R4" cites each part
@@ -41,7 +42,9 @@ RULES: Dict[str, str] = {
     "R10": "supercritical smoothness s > d/p embeds into bounded continuous "
            "functions",
     "embedding-line": "Besov / Triebel-Lizorkin: no embedding below the line "
-                      "s - t >= d/p1 - d/p2",
+                      "s - t >= (d/p1 - d/p2)_+",
+    "Rd-integrability": "on R^d no Sobolev, Besov or Triebel-Lizorkin space "
+                        "embeds into one of lower integration index: p1 <= p2",
     "R11": "identifications: Sobolev, Slobodeckij, and Hoelder rewrite onto "
            "the Besov / Triebel-Lizorkin scale",
     "lp-iff": "an intermediate RKHS between lp and lq exists iff p <= 2 <= q, "
@@ -164,10 +167,10 @@ def _smooth_pair(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
 def embeds(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
     """Decide whether the continuous embedding E -> F holds.
 
-    Rule order: identity, integer-Sobolev equivalence (R6), sequence (R8),
-    Lebesgue (R9), direct Hoelder inclusion (R7), bounded targets (R10), then
-    family identifications (R11) followed by the Besov/TL rules R1-R5, and
-    Fails below the embedding line where none of them holds.
+    Rule order: identity, integrability on R^d, integer-Sobolev equivalence
+    (R6), sequence (R8), Lebesgue (R9), direct Hoelder inclusion (R7), bounded
+    targets (R10), then family identifications (R11) followed by the Besov/TL
+    rules R1-R5, and Fails below the embedding line where none of them holds.
     """
     if E.domain != F.domain:
         raise DomainError("embedding endpoints must share a domain")
@@ -176,6 +179,13 @@ def embeds(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
         return _holds("identity")
 
     fam_e, fam_f = E.family, F.family
+    src, dst = rewrite_identifications(E), rewrite_identifications(F)
+    smooth = src.family in _BESOV_TL and dst.family in _BESOV_TL
+
+    # on R^d the translates of one bump span l_p1 in E and l_p2 in F
+    # (Triebel, Theory of Function Spaces, 1983, 2.7.1)
+    if smooth and not E.domain.bounded and src.p > dst.p:
+        return _fails("Rd-integrability")
 
     if fam_e == "sobolev" and fam_f == "sobolev":
         d = _dim(E)
@@ -207,17 +217,14 @@ def embeds(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
     if fam_f in BOUNDED_TARGETS:
         if fam_e == "holder":
             return _holds("R7")  # alpha-Hoelder functions are bounded
-        src = rewrite_identifications(E)
-        if src.family in ("besov", "triebel-lizorkin"):
+        if src.family in _BESOV_TL:
             d = _dim(E)
             if src.s > d / src.p:
                 return _holds("R10")
             return _open("bounded target needs s > d/p; condition not met")
         return _open(f"no bounded-target rule for family {fam_e}")
 
-    src, dst = rewrite_identifications(E), rewrite_identifications(F)
-    if src.family in ("besov", "triebel-lizorkin") and \
-            dst.family in ("besov", "triebel-lizorkin"):
+    if smooth:
         if src == dst:
             return _holds("R11")
         verdict = _smooth_pair(src, dst)
@@ -227,7 +234,7 @@ def embeds(E: SpaceSpec, F: SpaceSpec) -> EmbedVerdict:
         # no rule of _smooth_pair holds below the line, so only an open
         # verdict needs the check
         d = _dim(E)
-        if not verdict.holds and src.s - dst.s < d / src.p - d / dst.p:
+        if not verdict.holds and src.s - dst.s < pos_part(d / src.p - d / dst.p):
             return _fails("embedding-line")
         return verdict
 

@@ -1,5 +1,7 @@
 """Decision-engine tests: verdicts, witness chains, obstruction recipes."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -12,11 +14,13 @@ from hypothesis import strategies as st
 
 import rkhs_sandwich
 from rkhs_sandwich import (INF, UInterval, Verdict, ball, besov, c_infinity,
-                           chain_holds, cube, decide, decide_bounded_target,
-                           holder, lebesgue_lp, mixed_sobolev, sequence_lp,
-                           slobodeckij, triebel_lizorkin, whole_space, xr)
+                           chain_holds, continuous_bounded, cube, decide,
+                           decide_bounded_target, holder, lebesgue_lp,
+                           mixed_sobolev, sequence_lp, slobodeckij, sobolev,
+                           sup_space, triebel_lizorkin, whole_space, xr)
 from rkhs_sandwich.decider import (DecisionError, Inequality,
                                    ObstructionRecipe)
+from rkhs_sandwich.report import _plain
 from rkhs_sandwich.spaces import (BOUNDED_TARGETS, ValidationError,
                                   coherent_closure, finite_metric)
 
@@ -129,10 +133,44 @@ class TestSmoothScalePairs:
         (slobodeckij(Fraction(3, 2), 1, cube(2)), slobodeckij(1, 2, cube(2))),
         # s - t = 1/4 < 1, with a zero target smoothness
         (slobodeckij(Fraction(1, 4), 1, cube(2)), slobodeckij(0, 2, cube(2))),
+        # s - t = -1 clears d/p1 - d/p2 = 1/4 - 4/3 but not its positive part:
+        # smoothness never rises on a bounded domain
+        (slobodeckij(1, 8, cube(2)), slobodeckij(2, Fraction(3, 2), cube(2))),
     ])
     def test_gap_below_the_embedding_line_is_refused(self, E, F):
         with pytest.raises(DecisionError, match=r"rule embedding-line"):
             decide(E, F)
+
+    @pytest.mark.parametrize("s,p,t", [
+        (3, 4, Fraction(1, 2)),               # W^3_4 -> W^2_2 -> W^{1/2}_4
+        (3, 3, 1),                            # W^3_3 -> W^{13/6}_2 -> W^1_3
+        (2, Fraction(3, 2), Fraction(1, 2)),  # W^2_{3/2} -> W^{13/12}_2 -> W^{1/2}_{3/2}
+    ])
+    def test_whole_space_outside_two_is_not_feasible(self, s, p, t):
+        # on the plane the bounded-domain witness has a link that lowers the
+        # integration index, into W^u_2 from p > 2 or out of it to p < 2,
+        # which R^d does not allow
+        dom = whole_space(2)
+        v = decide(slobodeckij(s, p, dom), slobodeckij(t, p, dom))
+        assert v.status == "Undetermined" and "p1 <= 2 <= p2" in v.reason
+        assert decide(slobodeckij(s, p, cube(2)), slobodeckij(t, p, cube(2))).status == \
+            "Feasible"
+
+    @given(st.integers(1, 3), *[st.integers(0, 16).map(lambda k: Fraction(k, 4))] * 2,
+           *[st.sampled_from([Fraction(6, 5), Fraction(3, 2), 2, 3, 4, 8])] * 2)
+    @settings(max_examples=200, deadline=None)
+    def test_whole_space_integrability(self, d, s, t, p1, p2):
+        # on R^d a pair that lowers p is refused, and a Feasible verdict
+        # straddles p = 2
+        dom = whole_space(d)
+        try:
+            v = decide(triebel_lizorkin(s, p1, 2, dom), triebel_lizorkin(t, p2, 2, dom))
+        except DecisionError:
+            assert p1 > p2 or s - t < Fraction(d) / p1 - Fraction(d) / p2
+            return
+        assert p1 <= p2
+        if v.status == "Feasible":
+            assert p1 <= 2 <= p2
 
     def test_gap_below_the_embedding_line_with_no_single_ratio(self):
         # d/p1 - d/2 = d/2 - d/p2 = 1/6 <= s - t = 1/4 < d/p1 - d/p2 = 1/3:
@@ -215,6 +253,52 @@ class TestBoundedTarget:
         assert decide_bounded_target(besov(1, 4, 4, dom)).status == "Borderline"
         assert decide_bounded_target(
             besov(Fraction(3, 4), 4, 4, dom)).status == "Infeasible"
+
+
+def _bounded_target_sources():
+    """Every family over a small parameter grid on seven domains, minus the
+    descriptors that validation refuses."""
+    path = tuple(tuple(Fraction(abs(i - j)) for j in range(5)) for i in range(5))
+    quarters = [Fraction(k, 4) for k in (0, 1, 2, 3, 4, 6, 8, 12)]
+    ps, qs = [1, Fraction(3, 2), 2, 4, INF], [2, INF]
+    yield from (sequence_lp(p) for p in ps)
+    for dom in [cube(1), cube(2), cube(3), cube(4), ball(2), whole_space(2),
+                finite_metric(path)]:
+        makers = [(holder, (a,)) for a in quarters]
+        makers += [(f, (s, p)) for f in (sobolev, slobodeckij)
+                   for s in quarters for p in ps]
+        makers += [(f, (s, p, q)) for f in (besov, triebel_lizorkin)
+                   for s in quarters for p in ps for q in qs]
+        makers += [(lebesgue_lp, (p,)) for p in ps]
+        makers += [(f, ()) for f in (c_infinity, sup_space, continuous_bounded)]
+        d = dom.dimension
+        if d is not None:
+            sets = [coherent_closure([(k,) + (0,) * (d - 1)], d) for k in (1, 2, 3)]
+            sets += [coherent_closure([(k,) * d], d) for k in (1, 2)]
+            makers += [(mixed_sobolev, (A, p)) for A in sets for p in ps]
+        for make, args in makers:
+            try:
+                yield make(*args, dom)
+            except ValidationError:
+                pass
+
+
+class TestBoundedTargetDigest:
+    def test_answers_match_the_recorded_digest(self):
+        # each answer is the verdict's report payload or the refusal's type
+        # and message, so any change to a bounded-target answer moves the hash
+        lines = []
+        for E in _bounded_target_sources():
+            for target in BOUNDED_TARGETS:
+                try:
+                    out = json.dumps(_plain(decide_bounded_target(E, target)),
+                                     sort_keys=True)
+                except DecisionError as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                lines.append(f"{E.label()} {E.domain!r} {target} {out}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (
+            2676, "3e4fe03d23e75a2d85bb97e6a2335b284bc76f0e4deaf5d0651790029ba1d0b4")
 
 
 class TestMixedSmoothness:

@@ -13,6 +13,7 @@ from rkhs_sandwich import (INF, ball, besov, c_infinity, chain_holds,
                            sobolev, sup_space, triebel_lizorkin, validate_space,
                            whole_space, xr)
 from rkhs_sandwich.spaces import DomainError
+from rkhs_sandwich.xrational import pos_part
 
 
 def _specs(make, *parts):
@@ -139,6 +140,19 @@ class TestEmbedsExamples:
             v = embeds(lebesgue_lp(p, cube(1)), sup_space(cube(1)))
             assert v.status == "Undetermined" and v.rule is None
 
+    @pytest.mark.parametrize("make", [
+        sobolev, slobodeckij,
+        lambda s, p, dom: besov(s, p, 2, dom),
+        lambda s, p, dom: triebel_lizorkin(s, p, 2, dom),
+    ])
+    def test_lower_integration_index_fails_on_whole_space(self, make):
+        # W^3_4 -> W^2_2 holds on the square but not on the plane, where
+        # translates of one bump span l_4 in the source and l_2 in the target
+        E, F = make(3, 4, whole_space(2)), make(2, 2, whole_space(2))
+        v = embeds(E, F)
+        assert (v.status, v.rule) == ("Fails", "Rd-integrability")
+        assert embeds(make(3, 4, cube(2)), make(2, 2, cube(2))).holds
+
     def test_domain_mismatch(self):
         with pytest.raises(DomainError):
             embeds(holder(1, cube(1)), holder(1, cube(2)))
@@ -164,10 +178,10 @@ class TestEmbedsProperties:
 
     @given(frac, frac, pvals, pvals)
     def test_fails_exactly_below_the_embedding_line(self, s, t, p, q):
-        # off the integer-Sobolev equivalence, Fails is the embedding line
-        # s - t >= d/p1 - d/p2, a necessary condition on every domain
+        # off the integer-Sobolev equivalence, Fails on a bounded domain is
+        # the embedding line s - t >= (d/p1 - d/p2)_+
         v = embeds(besov(s, p, q, cube(3)), besov(t, q, p, cube(3)))
-        below = xr(s) - xr(t) < xr(3) / p - xr(3) / q
+        below = xr(s) - xr(t) < pos_part(xr(3) / p - xr(3) / q)
         assert (v.status == "Fails") == below
         if below:
             assert v.rule == "embedding-line"

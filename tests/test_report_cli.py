@@ -69,6 +69,8 @@ def _rule_queries():
         (embeds(sobolev(2, 2, c1), slobodeckij(1, 2, c1)), "R11+R1"),
         (embeds(slobodeckij(Fraction(3, 2), 1, c2), slobodeckij(1, 2, c2)),
          "embedding-line"),
+        (embeds(sobolev(3, 4, whole_space(2)), sobolev(2, 2, whole_space(2))),
+         "Rd-integrability"),
         (decide(slobodeckij(1, 2, c1), slobodeckij(1, 2, c1)), "identity"),
         (decide(sequence_lp(1), sequence_lp(INF)), "lp-iff"),
         (decide(lebesgue_lp(4, c1), lebesgue_lp(2, c1)), "Lp-iff"),
@@ -140,11 +142,16 @@ class TestDecideCommand:
         code = main(["decide", "--from", "holder:1/2", "--to", "sup"])
         assert code == 64
 
-    def test_pair_below_the_embedding_line_usage_error(self, capsys):
+    @pytest.mark.parametrize("source,target", [
         # s - t = 1/2 < d/p1 - d/p2 = 1: W^{3/2}_1 does not embed in W^1_2
         # on the square, so nothing sits between them
-        code = main(["decide", "--from", "slobo:3/2:1", "--to", "slobo:1:2",
-                     "--domain", "cube:2"])
+        ("slobo:3/2:1", "slobo:1:2"),
+        # smoothness never rises on a bounded domain, whatever p1 > p2 allows
+        # on R^d
+        ("slobo:1:8", "slobo:2:3/2"),
+    ])
+    def test_pair_below_the_embedding_line_usage_error(self, capsys, source, target):
+        code = main(["decide", "--from", source, "--to", target, "--domain", "cube:2"])
         assert code == 64
         assert "rule embedding-line" in capsys.readouterr().err
 
