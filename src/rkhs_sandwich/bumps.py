@@ -307,6 +307,8 @@ class SignedSum:
         out = np.bincount((rows[:, None] * k + np.arange(k)).ravel(),
                           (S[cols] * vals[:, None]).ravel(),
                           minlength=len(X) * k).reshape(len(X), k)
+        # bincount gives int64 zeros when no member is nonzero at any point
+        out = out.astype(float, copy=False)
         return out[:, 0] if signs is None else out
 
     def _matrix(self, X: np.ndarray):

@@ -190,12 +190,12 @@ def _decide_sequence(E: SpaceSpec, F: SpaceSpec) -> Verdict:
     if p > 2:
         ineq = Inequality(p, xr(2), "<=", "sequence source index p")
         rec = ObstructionRecipe(ineq, "lp-unit-vectors",
-                                xr(Fraction(1, 2)) - 1 / p, "cotype2",
+                                xr(1, 2) - 1 / p, "cotype2",
                                 params={"p": p, "q": q})
     else:  # q < 2
         ineq = Inequality(xr(2), q, "<=", "sequence target index q")
         rec = ObstructionRecipe(ineq, "lp-unit-vectors",
-                                1 / q - xr(Fraction(1, 2)), "type2",
+                                1 / q - xr(1, 2), "type2",
                                 params={"p": p, "q": q})
     return Verdict(INFEASIBLE, rule, obstruction=rec)
 
@@ -385,7 +385,7 @@ def decide_bounded_target(E: SpaceSpec, target: str = "sup") -> Verdict:
         if E.family == "c-infinity" or E.family in _SMOOTH_SCALE:
             ineq = Inequality(xr(1), xr(0), "<=", "domain boundedness")
             rec = ObstructionRecipe(ineq, "smooth-scaled-bumps",
-                                    xr(Fraction(1, 2)), "cotype2",
+                                    xr(1, 2), "cotype2",
                                     params={"unbounded": True, "d": dom.dimension})
             return Verdict(INFEASIBLE, "unbounded-domain", obstruction=rec)
         return Verdict(UNDETERMINED, "unbounded-domain",

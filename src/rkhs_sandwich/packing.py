@@ -192,8 +192,11 @@ def greedy_packing(domain: DomainSpec, delta, alpha=1,
 
 
 def _checked_scale(delta, alpha) -> Tuple[Fraction, Fraction]:
-    """delta and alpha as Fractions, refused unless delta > 0 and
-    0 < alpha <= 1."""
+    """delta and alpha as Fractions, refused unless both are finite,
+    delta > 0 and 0 < alpha <= 1."""
+    for name, x in (("delta", delta), ("metric power alpha", alpha)):
+        if isinstance(x, float) and not math.isfinite(x):
+            raise PackingError(f"{name} must be finite, got {x}")
     delta, alpha = Fraction(delta), Fraction(alpha)
     if delta <= 0:
         raise PackingError("delta must be positive")

@@ -1,14 +1,18 @@
-"""Exact arithmetic over the extended rationals (Fraction plus +infinity).
+"""Exact arithmetic over the extended rationals (the rationals plus +infinity).
 
 Every quantity on a decision path is an ExtRational; floats only appear in
-the numerical lab.  The result of an operation on two ExtRationals is built
-straight from the exact Fraction the operation computed, without passing it
-through the coercion of the public constructor again.
+the numerical lab.  An ExtRational holds a numerator and a denominator as
+Python ints in lowest terms, with a positive denominator; denominator 0
+stands for +infinity.  Arithmetic and comparison run on those ints, and an
+int or Fraction operand is read through its own numerator and denominator.
+Only parsing in the constructor and as_fraction() (which hash, numerator
+and denominator read) build a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RationalLike = Union["ExtRational", Fraction, int, str]
@@ -24,154 +28,155 @@ class ExtRational:
     1/inf evaluates to 0.  inf - inf and 0 * inf are undefined and raise.
     """
 
-    __slots__ = ("_value",)  # Fraction, or None for +infinity
+    __slots__ = ("_n", "_d")  # ints in lowest terms, _d > 0; _d == 0 is +inf
 
     def __init__(self, value: RationalLike = 0, denominator: int | None = None):
         if denominator is not None:
-            self._value: Fraction | None = Fraction(value, denominator)
-            return
+            value = Fraction(value, denominator)
         kind = type(value)
         if kind is ExtRational:
-            self._value = value._value
+            self._n, self._d = value._n, value._d
+        elif kind is int:
+            self._n, self._d = value, 1
         elif kind is Fraction:
-            self._value = value
+            self._n, self._d = value.numerator, value.denominator
         elif isinstance(value, ExtRational):
-            self._value = value._value
+            self._n, self._d = value._n, value._d
         elif isinstance(value, str):
             s = value.strip()
-            self._value = None if s in ("inf", "infinity", "oo") else Fraction(s)
+            if s in ("inf", "infinity", "oo"):
+                self._n, self._d = 1, 0
+            else:
+                value = Fraction(s)
+                self._n, self._d = value.numerator, value.denominator
         elif isinstance(value, (int, Fraction)):
-            self._value = Fraction(value)
+            self._n, self._d = value.numerator, value.denominator
         else:
             raise TypeError(f"cannot build ExtRational from {type(value).__name__}")
 
     @classmethod
     def infinity(cls) -> "ExtRational":
         obj = cls.__new__(cls)
-        obj._value = None
+        obj._n, obj._d = 1, 0
         return obj
 
     @property
     def is_infinite(self) -> bool:
-        return self._value is None
+        return self._d == 0
 
     @property
     def is_finite(self) -> bool:
-        return self._value is not None
+        return self._d != 0
 
     def as_fraction(self) -> Fraction:
-        if self._value is None:
+        if self._d == 0:
             raise OverflowError("infinite ExtRational has no Fraction value")
-        return self._value
+        return Fraction(self._n, self._d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: RationalLike) -> "ExtRational":
-        b = _value_of(other)
-        if self._value is None or b is None:
+        c, d = _pair(other)
+        b = self._d
+        if b == 0 or d == 0:
             return INF
-        return _of(self._value + b)
+        return _sum(self._n, b, c, d)
 
     __radd__ = __add__
 
     def __sub__(self, other: RationalLike) -> "ExtRational":
-        a, b = self._value, _value_of(other)
-        if a is None and b is None:
-            raise ArithmeticError("inf - inf is undefined")
-        if a is None:
-            return INF
-        if b is None:
-            raise ArithmeticError("finite - inf leaves the extended rationals")
-        return _of(a - b)
+        c, d = _pair(other)
+        return _difference(self._n, self._d, c, d)
 
     def __rsub__(self, other: RationalLike) -> "ExtRational":
-        return _coerce(other) - self
+        a, b = _pair(other)
+        return _difference(a, b, self._n, self._d)
 
     def __mul__(self, other: RationalLike) -> "ExtRational":
-        a, b = self._value, _value_of(other)
-        if a is None or b is None:
-            if a == 0 or b == 0:
+        c, d = _pair(other)
+        a, b = self._n, self._d
+        if b == 0 or d == 0:
+            if a == 0 or c == 0:
                 raise ArithmeticError("0 * inf is undefined")
-            if (a is not None and a < 0) or (b is not None and b < 0):
+            if a < 0 or c < 0:
                 raise ArithmeticError("negative * inf leaves the extended rationals")
             return INF
-        return _of(a * b)
+        return _reduced(a * c, b * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "ExtRational":
-        a, b = self._value, _value_of(other)
-        if b is None:
-            if a is None:
-                raise ArithmeticError("inf / inf is undefined")
-            return ZERO
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if a is None:
-            return INF
-        return _of(a / b)
+        c, d = _pair(other)
+        return _quotient(self._n, self._d, c, d)
 
     def __rtruediv__(self, other: RationalLike) -> "ExtRational":
-        return _coerce(other) / self
+        a, b = _pair(other)
+        return _quotient(a, b, self._n, self._d)
 
     def __neg__(self) -> "ExtRational":
-        if self._value is None:
+        if self._d == 0:
             raise ArithmeticError("-inf is not representable")
-        return _of(-self._value)
+        return _finite(-self._n, self._d)
 
     def __abs__(self) -> "ExtRational":
-        if self._value is None:
+        if self._d == 0:
             return self
-        return _of(abs(self._value))
+        return _finite(abs(self._n), self._d)
 
     # -- comparisons --------------------------------------------------------
 
+    # lowest terms make each value's pair unique, so equality compares pairs;
+    # order cross-multiplies numerators by the (positive) denominators
     def __eq__(self, other: object) -> bool:
         if type(other) is ExtRational:
-            return self._value == other._value
+            return self._n == other._n and self._d == other._d
         if not isinstance(other, (ExtRational, Fraction, int, str)):
             return NotImplemented
-        return self._value == _value_of(other)
+        c, d = _pair(other)
+        return self._n == c and self._d == d
 
-    # finite values compare by cross-multiplying numerators and (positive)
-    # denominators, which int and Fraction both carry; Fraction's own
-    # comparison adds an abstract-base-class check on every call
     def __lt__(self, other: RationalLike) -> bool:
-        a, b = self._value, _value_of(other)
-        if a is None:
+        c, d = _pair(other)
+        b = self._d
+        if b == 0:
             return False
-        return b is None or a.numerator * b.denominator < b.numerator * a.denominator
+        return d == 0 or self._n * d < c * b
 
     def __le__(self, other: RationalLike) -> bool:
-        a, b = self._value, _value_of(other)
-        if b is None:
+        c, d = _pair(other)
+        if d == 0:
             return True
-        return a is not None and \
-            a.numerator * b.denominator <= b.numerator * a.denominator
+        b = self._d
+        return b != 0 and self._n * d <= c * b
 
     def __gt__(self, other: RationalLike) -> bool:
-        a, b = self._value, _value_of(other)
-        if b is None:
+        c, d = _pair(other)
+        if d == 0:
             return False
-        return a is None or a.numerator * b.denominator > b.numerator * a.denominator
+        b = self._d
+        return b == 0 or self._n * d > c * b
 
     def __ge__(self, other: RationalLike) -> bool:
-        a, b = self._value, _value_of(other)
-        if a is None:
+        c, d = _pair(other)
+        b = self._d
+        if b == 0:
             return True
-        return b is not None and \
-            a.numerator * b.denominator >= b.numerator * a.denominator
+        return d != 0 and self._n * d >= c * b
 
+    # a finite value equals, and so hashes as, its Fraction
     def __hash__(self) -> int:
-        return hash(self._value) if self._value is not None else hash("ext-inf")
+        return hash("ext-inf") if self._d == 0 else hash(self.as_fraction())
 
     # -- conversion / display ------------------------------------------------
 
     def __float__(self) -> float:
-        return float("inf") if self._value is None else float(self._value)
+        return float("inf") if self._d == 0 else self._n / self._d
 
     def __str__(self) -> str:
-        return "inf" if self._value is None else str(self._value)
+        n, d = self._n, self._d
+        if d == 0:
+            return "inf"
+        return str(n) if d == 1 else f"{n}/{d}"
 
     def __repr__(self) -> str:
         return f"ExtRational({str(self)!r})"
@@ -185,29 +190,73 @@ class ExtRational:
         return self.as_fraction().denominator
 
     def is_integer(self) -> bool:
-        return self._value is not None and self._value.denominator == 1
+        return self._d == 1
 
 
-def _of(value: Fraction) -> ExtRational:
-    """The finite ExtRational holding an exact Fraction result."""
+def _finite(n: int, d: int) -> ExtRational:
+    """The ExtRational n/d, for ints already in lowest terms with d > 0."""
     obj = object.__new__(ExtRational)
-    obj._value = value
+    obj._n = n
+    obj._d = d
     return obj
 
 
-def _coerce(other: RationalLike) -> ExtRational:
-    return other if isinstance(other, ExtRational) else ExtRational(other)
+def _reduced(n: int, d: int) -> ExtRational:
+    """The ExtRational n/d, for ints with d > 0."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return _finite(n, d)
 
 
-def _value_of(other: RationalLike) -> Fraction | int | None:
-    """The exact value (None for infinity) an operand stands for; a plain
-    int stays an int, which Fraction arithmetic and comparison take as is."""
+def _sum(a: int, b: int, c: int, d: int) -> ExtRational:
+    """a/b + c/d for finite operands in lowest terms."""
+    if b == d:  # shared denominator, as for two ints
+        return _reduced(a + c, b)
+    return _reduced(a * d + c * b, b * d)
+
+
+def _difference(a: int, b: int, c: int, d: int) -> ExtRational:
+    """a/b - c/d on extended-rational pairs."""
+    if b == 0 and d == 0:
+        raise ArithmeticError("inf - inf is undefined")
+    if b == 0:
+        return INF
+    if d == 0:
+        raise ArithmeticError("finite - inf leaves the extended rationals")
+    return _sum(a, b, -c, d)
+
+
+def _quotient(a: int, b: int, c: int, d: int) -> ExtRational:
+    """(a/b) / (c/d) on extended-rational pairs."""
+    if d == 0:
+        if b == 0:
+            raise ArithmeticError("inf / inf is undefined")
+        return ZERO
+    if c == 0:
+        raise ZeroDivisionError("division by zero")
+    if b == 0:
+        return INF
+    n, m = a * d, b * c
+    if m < 0:
+        n, m = -n, -m
+    return _reduced(n, m)
+
+
+def _pair(other: RationalLike) -> tuple[int, int]:
+    """The (numerator, denominator) an operand stands for, denominator 0 for
+    infinity; an int or Fraction is read as it is, anything else is parsed by
+    the constructor, which refuses what it cannot read."""
     kind = type(other)
     if kind is ExtRational:
-        return other._value
+        return other._n, other._d
     if kind is int:
-        return other
-    return _coerce(other)._value
+        return other, 1
+    if kind is Fraction:
+        return other.numerator, other.denominator
+    other = ExtRational(other)
+    return other._n, other._d
 
 
 INF = ExtRational.infinity()
@@ -224,7 +273,7 @@ def xr(value: RationalLike, denominator: int | None = None) -> ExtRational:
 def pos_part(x: RationalLike) -> ExtRational:
     """max(0, x), exactly."""
     x = xr(x)
-    return x if x > 0 else ZERO
+    return x if x._n > 0 else ZERO
 
 
 def deficiency(p1: RationalLike, p2: RationalLike, d: int) -> ExtRational:

@@ -503,6 +503,16 @@ class TestCellGrid:
         assert (h(nan_rows) == 0.0).all()
         assert not np.signbit(h(nan_rows)).any()
 
+    def test_sum_with_no_nonzero_member_is_float(self):
+        # far outside every tent, at the centre of the square, which lies
+        # between the tents of this packing, and at no point at all
+        fam = tent_family(cube(2), Fraction(1, 8), Fraction(1, 2))
+        h = fam.signed_sum([1] * len(fam.members))
+        for X in (np.array([[5.0, 5.0]]), np.array([[0.5, 0.5]]), np.empty((0, 2))):
+            for out in (h(X), h(X, signs=np.ones((len(fam.members), 2)))):
+                assert out.dtype == np.float64
+                assert (out == 0.0).all() and not np.signbit(out).any()
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mixed_member_kinds(self, d):
         # tents and smooth bumps of one family each (one _values call per

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rkhs_sandwich import (CoherentSet, ExtRational, INF, coherent_closure,
@@ -20,6 +20,10 @@ from rkhs_sandwich.spaces import (DomainError, DomainSpec,
 from rkhs_sandwich.xrational import ParameterRangeError, pos_part
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
+# numerators and denominators up to 10**40, whose reduction runs through gcd
+big_rationals = st.builds(Fraction, st.integers(-10**40, 10**40),
+                          st.integers(1, 10**40))
+exact = st.one_of(rationals, big_rationals, st.integers(-10**40, 10**40))
 
 
 def _coercing_extrational():
@@ -182,14 +186,15 @@ OracleExtRational = _coercing_extrational()
 
 # an ExtRational operand, as ("xr", value); or a plain int, Fraction, str
 # or float operand, which both classes must coerce, reflect or refuse alike
-_wrapped = st.one_of(rationals, st.integers(-5, 5), st.just("inf")).map(
-    lambda v: ("xr", v))
-_plain = st.one_of(st.integers(-50, 50), rationals,
+_wrapped = st.one_of(rationals, big_rationals, st.integers(-5, 5),
+                     st.just("inf")).map(lambda v: ("xr", v))
+_plain = st.one_of(st.integers(-50, 50), rationals, big_rationals,
                    st.sampled_from(["3/4", " -2 ", "0", "inf", "oo", "junk"]),
                    st.sampled_from([0.0, 1.5, -2.0]))
 _BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
            operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
            operator.ge]
+_ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
 _UNARY = [operator.neg, abs, str, repr, hash, float,
           lambda x: x.is_integer(), lambda x: x.is_finite]
 
@@ -226,6 +231,50 @@ class TestExtRational:
         for op in _UNARY:
             assert _outcome(op, _operand(ExtRational, a)) == \
                 _outcome(op, _operand(OracleExtRational, a)), (op, a)
+
+    @given(exact)
+    def test_hash_float_and_fraction_agree_with_fraction(self, x):
+        f = Fraction(x)
+        for r in (xr(x), xr(str(x)), xr(f.numerator, f.denominator)):
+            assert r == f and f == r
+            assert hash(r) == hash(f)
+            assert float(r) == float(f)
+            assert str(r) == str(f)
+            back = r.as_fraction()
+            assert type(back) is Fraction and back == f
+            assert xr(back) == r
+
+    @given(exact, exact, st.sampled_from(_ARITHMETIC))
+    def test_results_match_fraction_arithmetic(self, a, b, op):
+        assume(op is not operator.truediv or b != 0)
+        got, want = op(xr(a), xr(b)), op(Fraction(a), Fraction(b))
+        assert got == want and hash(got) == hash(want)
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+
+    @given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40),
+           st.integers(1, 10**40))
+    def test_shared_denominator_sums(self, a, b, d):
+        x, y = xr(a, d), xr(b, d)
+        assert x + y == Fraction(a, d) + Fraction(b, d)
+        assert x - y == Fraction(a, d) - Fraction(b, d)
+
+    @given(st.one_of(_wrapped, _plain), st.one_of(_wrapped, _plain))
+    def test_parts_stay_ints_through_every_operation(self, a, b):
+        # every finite result stores an int numerator over a positive int
+        # denominator in lowest terms: no float, no Fraction
+        x, y = _operand(ExtRational, a), _operand(ExtRational, b)
+        for op in _ARITHMETIC + [lambda u, v: -u, lambda u, v: abs(u)]:
+            for u, v in ((x, y), (y, x)):
+                try:
+                    r = op(u, v)
+                except (ArithmeticError, TypeError, ValueError):
+                    continue  # refusals: the oracle tests match them
+                if type(r) is ExtRational and r.is_finite:
+                    n, d = (getattr(r, slot) for slot in ExtRational.__slots__)
+                    assert type(n) is int and type(d) is int
+                    assert d > 0 and math.gcd(n, d) == 1
+                    assert (n, d) == (r.numerator, r.denominator)
 
     def test_exact_arithmetic(self):
         assert xr(1, 3) + xr(1, 6) == xr(1, 2)

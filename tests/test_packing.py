@@ -86,6 +86,14 @@ class TestGreedy:
         with pytest.raises(PackingError):
             greedy_packing(cube(1), Fraction(1, 4), 2)
 
+    @pytest.mark.parametrize("delta,alpha,name", [
+        (float("inf"), 1, "delta"), (float("nan"), 1, "delta"),
+        (-float("inf"), 1, "delta"), (0.25, float("inf"), "metric power alpha"),
+        (0.25, float("nan"), "metric power alpha")])
+    def test_non_finite_scale_is_refused(self, delta, alpha, name):
+        with pytest.raises(PackingError, match=f"{name} must be finite"):
+            greedy_packing(cube(2), delta, alpha)
+
 
 LINE = finite_metric([[0, 1, 2, 3, 4],
                       [1, 0, 1, 2, 3],
